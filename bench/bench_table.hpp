@@ -91,7 +91,8 @@ inline bool write_merged_sidecar(
 ///                   (benches that honor it pass this to
 ///                   Options::sim_regions). Simulation *content*: rows
 ///                   change with r, exactly like changing the seed, so the
-///                   committed baselines use the default 0.
+///                   committed baselines use the default 0. --regions 1
+///                   equals --regions 0: both run the sequential kernel.
 ///   --sim-threads <n>
 ///                   worker threads inside each (sharded) simulation. Pure
 ///                   execution policy: byte-identical output for any value.

@@ -45,7 +45,8 @@
 //                                                    into R spatial regions
 //                                                    (before nodes; changes
 //                                                    results like seed does;
-//                                                    disables live tracing)
+//                                                    disables live tracing;
+//                                                    R <= 1 does not shard)
 //   gateway NODE                                  -- wired uplink on a node
 //   provider DOMAIN [p2p N | shards N]            -- Internet SIP provider;
 //                                                    `p2p N` resolves through

@@ -9,12 +9,6 @@
 namespace siphoc::net {
 
 namespace {
-// Broadcasts with at least this many candidate receivers fan the pure
-// pre-checks (enabled/jammed/filter/distance) out over the worker pool;
-// smaller sets are not worth the dispatch. Loss/corrupt draws always stay
-// sequential in candidate order, so results are identical either way.
-constexpr std::size_t kPrefilterThreshold = 64;
-
 void merge_stats(MediumStats& into, const MediumStats& from) {
   into.frames_sent += from.frames_sent;
   into.bytes_sent += from.bytes_sent;
@@ -254,32 +248,6 @@ void RadioMedium::transmit(const Frame& frame) {
     scratch.push_back(it->second);
   }
 
-  // Wide broadcasts run the pure pre-checks (enabled/jammed/filter/range)
-  // in parallel over the worker pool; the subsequent loss/corruption draws
-  // still consume the RNG in candidate order, so the outcome is identical
-  // to the sequential scan. prefilter_[k]: 0 = skip, 1 = deliverable,
-  // 2 = mobile radio, finish the range check inline (mobility models are
-  // not safe to advance from worker threads).
-  const bool prefiltered = !in_window && sim_.parallel_enabled() &&
-                           frame.dst_mac == kBroadcastMac &&
-                           scratch.size() >= kPrefilterThreshold;
-  if (prefiltered) {
-    prefilter_.assign(scratch.size(), 0);
-    sim_.parallel_for(scratch.size(), [&](std::size_t k) {
-      const std::uint32_t i = scratch[k];
-      const RadioAttachment& rx = radios_[i];
-      if (rx.mac == frame.src_mac || !rx.enabled) return;
-      if (!jammed_.empty() && jammed_.contains(rx.mac)) return;
-      if (link_filter_ && !link_filter_(frame.src_mac, rx.mac)) return;
-      if (!rx.fixed_position) {
-        prefilter_[k] = 2;
-        return;
-      }
-      if (distance(from, fixed_positions_[i]) > config_.range) return;
-      prefilter_[k] = 1;
-    });
-  }
-
   // Injected loss is time-dependent (ramps); evaluate once per frame.
   const double fault_loss = fault_loss_probability(sim_.now());
 
@@ -287,25 +255,17 @@ void RadioMedium::transmit(const Frame& frame) {
   for (std::size_t k = 0; k < scratch.size(); ++k) {
     const std::uint32_t i = scratch[k];
     const RadioAttachment& rx = radios_[i];
-    if (prefiltered) {
-      if (prefilter_[k] == 0) continue;
-      if (prefilter_[k] == 2 &&
-          distance(from, rx.position()) > config_.range) {
-        continue;
-      }
-    } else {
-      if (rx.mac == frame.src_mac || !rx.enabled) continue;
-      if (!jammed_.empty() && jammed_.contains(rx.mac)) continue;
-      if (link_filter_ && !link_filter_(frame.src_mac, rx.mac)) continue;
-      // Concurrent windows read the barrier snapshot of mobile positions
-      // (never the live model, which belongs to the radio's home lane);
-      // the snapshot is at most one lookahead window old.
-      const Position at = rx.fixed_position
-                              ? fixed_positions_[i]
-                              : (in_window ? mobile_position_cache_[i]
-                                           : rx.position());
-      if (distance(from, at) > config_.range) continue;
-    }
+    if (rx.mac == frame.src_mac || !rx.enabled) continue;
+    if (!jammed_.empty() && jammed_.contains(rx.mac)) continue;
+    if (link_filter_ && !link_filter_(frame.src_mac, rx.mac)) continue;
+    // Concurrent windows read the barrier snapshot of mobile positions
+    // (never the live model, which belongs to the radio's home lane);
+    // the snapshot is at most one lookahead window old.
+    const Position at = rx.fixed_position
+                            ? fixed_positions_[i]
+                            : (in_window ? mobile_position_cache_[i]
+                                         : rx.position());
+    if (distance(from, at) > config_.range) continue;
     unicast_reached = true;
     // Fault draws happen in a fixed documented order (base loss, injected
     // loss, corrupt, duplicate, reorder), each gated on its probability

@@ -208,8 +208,6 @@ class RadioMedium {
   mutable std::vector<std::vector<std::uint32_t>> lane_scratch_;
   std::vector<MediumStats> lane_stats_;
   mutable MediumStats agg_stats_;
-  // Parallel candidate prefilter (unsharded hot loop; docs/PERFORMANCE.md).
-  mutable std::vector<std::uint8_t> prefilter_;
   std::unordered_map<Address, NodeId> arp_;
   std::function<bool(NodeId, NodeId)> link_filter_;
   std::function<void(const Frame&, TimePoint)> tap_;

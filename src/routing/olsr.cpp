@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "routing/route_hub.hpp"
-
 namespace siphoc::routing {
 
 using olsr::Hello;
@@ -26,7 +24,6 @@ Olsr::Olsr(net::Host& host, OlsrConfig config)
 
 Olsr::~Olsr() {
   stop();
-  if (config_.route_hub != nullptr) config_.route_hub->forget(*this);
 }
 
 void Olsr::start() {
@@ -53,7 +50,6 @@ void Olsr::stop() {
   housekeeping_timer_.stop();
   route_calc_.cancel();
   route_calc_pending_ = false;
-  if (config_.route_hub != nullptr) config_.route_hub->forget(*this);
   host_.unbind(net::kOlsrPort);
   for (const auto& [dst, entry] : installed_routes_) host_.remove_route(dst, 32);
   installed_routes_.clear();
@@ -351,10 +347,6 @@ void Olsr::select_mprs() {
 void Olsr::schedule_route_calc() {
   if (route_calc_pending_) return;
   route_calc_pending_ = true;
-  if (config_.route_hub != nullptr) {
-    config_.route_hub->request(*this, config_.route_recalc_delay);
-    return;
-  }
   route_calc_ = host_.sim().schedule(config_.route_recalc_delay, [this] {
     route_calc_pending_ = false;
     calculate_routes();
@@ -362,11 +354,7 @@ void Olsr::schedule_route_calc() {
 }
 
 void Olsr::calculate_routes() {
-  if (compute_routes()) commit_routes();
-}
-
-bool Olsr::compute_routes() {
-  if (!running_) return false;
+  if (!running_) return;
   struct Hop {
     net::Address next_hop;
     int distance = 0;
@@ -392,7 +380,7 @@ bool Olsr::compute_routes() {
   }
   if (route_sym_scratch_ == route_sym_last_ &&
       route_edges_scratch_ == route_edges_last_) {
-    return false;
+    return;
   }
   route_sym_last_ = route_sym_scratch_;
   route_edges_last_ = route_edges_scratch_;
@@ -428,28 +416,24 @@ bool Olsr::compute_routes() {
     }
   }
 
-  pending_installed_.clear();
+  std::map<net::Address, std::pair<net::Address, int>> routes;
   for (const auto& [dst, hop] : reach) {
-    pending_installed_.emplace(dst, std::make_pair(hop.next_hop, hop.distance));
+    routes.emplace(dst, std::make_pair(hop.next_hop, hop.distance));
   }
-  return true;
-}
 
-void Olsr::commit_routes() {
   // Mirror into the host FIB: touch only routes whose next hop or metric
   // actually changed, drop vanished ones. Steady state (converged
   // network, periodic TCs) then costs zero FIB writes.
-  for (const auto& [dst, entry] : pending_installed_) {
+  for (const auto& [dst, entry] : routes) {
     const auto it = installed_routes_.find(dst);
     if (it != installed_routes_.end() && it->second == entry) continue;
     host_.add_route(
         {dst, 32, entry.first, net::Interface::kRadio, entry.second});
   }
   for (const auto& [dst, entry] : installed_routes_) {
-    if (!pending_installed_.contains(dst)) host_.remove_route(dst, 32);
+    if (!routes.contains(dst)) host_.remove_route(dst, 32);
   }
-  installed_routes_ = std::move(pending_installed_);
-  pending_installed_ = {};
+  installed_routes_ = std::move(routes);
 }
 
 void Olsr::expire_state() {

@@ -22,19 +22,12 @@
 
 namespace siphoc::routing {
 
-class ParallelRouteHub;
-
 struct OlsrConfig {
   Duration hello_interval = seconds(2);
   Duration tc_interval = seconds(5);
   Duration neighbor_hold = seconds(6);
   Duration topology_hold = seconds(15);
   Duration route_recalc_delay = milliseconds(20);
-  /// When set, route recalculations are batched through the hub (parallel
-  /// compute, sequential commit; routing/route_hub.hpp) instead of each
-  /// node scheduling its own recalc event. Non-owning; the testbed wires
-  /// it in parallel mode only, since batching changes event interleaving.
-  ParallelRouteHub* route_hub = nullptr;
 };
 
 class Olsr final : public Protocol {
@@ -99,13 +92,6 @@ class Olsr final : public Protocol {
   void select_mprs();
   void schedule_route_calc();
   void calculate_routes();
-  /// Compute phase: input snapshot, early-out, BFS. Touches only this
-  /// node's tables (no FIB/metrics/log/RNG access), so the hub may run it
-  /// on a worker thread. Returns true when commit_routes() has work.
-  bool compute_routes();
-  /// Commit phase: mirrors the computed table into the host FIB (always on
-  /// the simulation thread, in deterministic order).
-  void commit_routes();
   void expire_state();
 
   bool is_symmetric(net::Address n) const {
@@ -135,8 +121,6 @@ class Olsr final : public Protocol {
   // dst -> (next_hop, metric) currently mirrored into the host FIB; lets
   // route recalculation skip FIB writes for unchanged entries.
   std::map<net::Address, std::pair<net::Address, int>> installed_routes_;
-  // compute_routes() output awaiting commit_routes().
-  std::map<net::Address, std::pair<net::Address, int>> pending_installed_;
   // Input snapshot from the last route calculation (sorted symmetric
   // neighbors; live topology edges as flat last_hop/dest pairs in scan
   // order) plus reusable scratch, so unchanged-input recalcs early-out
@@ -152,8 +136,6 @@ class Olsr final : public Protocol {
   bool route_calc_pending_ = false;
   RoutingStats stats_;
   Metrics metrics_;
-
-  friend class ParallelRouteHub;  // drives compute/commit and the debounce flag
 };
 
 }  // namespace siphoc::routing

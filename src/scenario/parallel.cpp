@@ -1,28 +1,19 @@
 #include "scenario/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <thread>
 
 #include "common/metrics.hpp"
+#include "sim/worker_pool.hpp"
 
 namespace siphoc::scenario {
-
-namespace {
-
-void run_one(SimContext& context, Cell& cell) {
-  SimContext::Bind bind(context);
-  cell.run(context);
-}
-
-}  // namespace
 
 std::vector<std::unique_ptr<SimContext>> run_cells(std::vector<Cell> cells,
                                                    unsigned threads) {
   // Pre-create every context up front so the result vector is fixed in
-  // submission order before any worker starts; workers only ever touch
-  // contexts[i] for cells they claimed, so no synchronization beyond the
-  // claim index is needed.
+  // submission order before any cell starts; a task only ever touches
+  // contexts[i] for the cell it claimed, so the pool's claim index is all
+  // the synchronization needed.
   std::vector<std::unique_ptr<SimContext>> contexts;
   contexts.reserve(cells.size());
   for (const Cell& cell : cells) {
@@ -32,26 +23,12 @@ std::vector<std::unique_ptr<SimContext>> run_cells(std::vector<Cell> cells,
   }
 
   const std::size_t n = cells.size();
-  if (threads <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) run_one(*contexts[i], cells[i]);
-    return contexts;
-  }
-
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      run_one(*contexts[i], cells[i]);
-    }
-  };
-
-  const std::size_t pool_size =
-      std::min<std::size_t>(threads, n);
-  std::vector<std::thread> pool;
-  pool.reserve(pool_size);
-  for (std::size_t t = 0; t < pool_size; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
+  // No more threads than cells; the pool treats 0 as 1 (inline).
+  sim::WorkerPool pool(static_cast<unsigned>(std::min<std::size_t>(threads, n)));
+  pool.run(n, [&](std::size_t i) {
+    SimContext::Bind bind(*contexts[i]);
+    cells[i].run(*contexts[i]);
+  });
   return contexts;
 }
 

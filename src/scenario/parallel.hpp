@@ -3,11 +3,12 @@
 // An experiment grid (a bench sweep, a seed sweep) is a list of independent
 // (config, seed) cells: each cell builds its own Testbed in its own
 // SimContext and runs to a verdict, sharing no mutable state with any other
-// cell. That independence is what this runner exploits: a fixed-size thread
-// pool fans the cells across cores, and because every cell's output lands
-// in its own context, results can be read back -- and per-cell registries
-// merged -- in submission order, making tables, --json output and metrics
-// sidecars byte-identical to a --threads 1 run.
+// cell. That independence is what this runner exploits: a sim::WorkerPool
+// (the same pool class the sharded kernel runs its lanes on) fans the
+// cells across cores, and because every cell's output lands in its own
+// context, results can be read back -- and per-cell registries merged --
+// in submission order, making tables, --json output and metrics sidecars
+// byte-identical to a --threads 1 run.
 //
 // Determinism contract:
 //   * cell k's seed is SimContext::derive_seed(root, k) -- a pure function
@@ -38,10 +39,11 @@ struct Cell {
   std::function<void(SimContext&)> run;
 };
 
-/// Runs every cell, using up to `threads` worker threads (values <= 1, or a
-/// single cell, run inline on the calling thread). Returns the per-cell
+/// Runs every cell on up to `threads` threads, the calling thread included
+/// (values <= 1, or a single cell, run inline). Returns the per-cell
 /// contexts in submission order regardless of completion order. Cells must
-/// not throw.
+/// not throw; a cell may build a sharded Testbed, whose own pool then nests
+/// inside this one.
 std::vector<std::unique_ptr<SimContext>> run_cells(std::vector<Cell> cells,
                                                    unsigned threads);
 

@@ -9,7 +9,6 @@ namespace siphoc::scenario {
 NodeStackConfig Testbed::node_stack_config() const {
   NodeStackConfig config = options_.stack;
   config.routing = options_.routing;
-  config.olsr.route_hub = route_hub_.get();
   return config;
 }
 
@@ -26,21 +25,20 @@ Testbed::Testbed(Options options) : options_(std::move(options)) {
   // metrics/loggers and must land in this testbed's context.
   SimContext::Bind bind(sim_->ctx());
 
-  if (options_.sim_regions > 0) {
+  // Fewer than two regions (after clamping to the node count) is the
+  // classic sequential kernel.
+  const auto regions = static_cast<std::uint32_t>(std::min<std::size_t>(
+      options_.sim_regions, std::max<std::size_t>(options_.nodes, 1)));
+  if (regions >= 2) {
     sim::Simulator::ShardConfig shard;
-    shard.regions = static_cast<std::uint32_t>(std::min<std::size_t>(
-        options_.sim_regions, std::max<std::size_t>(options_.nodes, 1)));
+    shard.regions = regions;
     shard.lookahead = options_.radio.mac_latency;
     shard.threads = options_.sim_threads;
     sim_->enable_parallelism(shard);
     // Cross-lane hops must cover at least one lookahead window; the radio
     // guarantees this by construction (MAC latency), the wired backbone
     // must be configured to.
-    assert(!sim_->sharded() ||
-           options_.internet_latency >= options_.radio.mac_latency);
-    if (!sim_->sharded()) {
-      route_hub_ = std::make_unique<routing::ParallelRouteHub>(*sim_);
-    }
+    assert(options_.internet_latency >= options_.radio.mac_latency);
   }
 
   medium_ = std::make_unique<net::RadioMedium>(*sim_, options_.radio);

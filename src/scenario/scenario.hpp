@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/context.hpp"
-#include "routing/route_hub.hpp"
 #include "siphoc/node_stack.hpp"
 #include "sip/outbound_proxy.hpp"
 #include "sip/p2p_resolver.hpp"
@@ -42,12 +41,11 @@ struct Options {
   Duration internet_latency = milliseconds(20);
 
   // --- intra-simulation parallelism (docs/ARCHITECTURE.md) --------------
-  /// Number of spatial regions to shard the simulation into. This is
-  /// simulation *content*: any value >= 1 switches the kernel to parallel
-  /// mode (region lanes, derived per-lane RNG streams, batched route
-  /// recalculation), so results depend on it -- like `seed` or `nodes`.
-  /// 0 keeps the classic sequential kernel. 1 enables the parallel hot
-  /// loops (route-recalc batching, delivery prefilter) without sharding.
+  /// Number of spatial regions to shard the simulation into (clamped to
+  /// the node count). This is simulation *content*: any value >= 2
+  /// switches the kernel to region lanes with derived per-lane RNG
+  /// streams, so results depend on it -- like `seed` or `nodes`. 0 and 1
+  /// both run the classic sequential kernel and give identical results.
   std::uint32_t sim_regions = 0;
   /// Worker threads executing the simulation. Pure execution policy:
   /// results are byte-identical for any value (asserted by ctest).
@@ -73,9 +71,6 @@ class Testbed {
   /// lane order). Call after the last run_for and before exporting
   /// metrics; the destructor calls it as a backstop.
   void finalize_metrics() { sim_->merge_lane_metrics(); }
-  /// The route-recalc batching hub (parallel mode with sim_regions <= 1;
-  /// null otherwise). Exposed for bench/test introspection.
-  routing::ParallelRouteHub* route_hub() { return route_hub_.get(); }
 
   net::RadioMedium& medium() { return *medium_; }
   net::Internet& internet() { return *internet_; }
@@ -212,7 +207,6 @@ class Testbed {
   Options options_;
   std::unique_ptr<sim::Simulator> sim_;
   std::vector<std::uint32_t> node_lanes_;  // node index -> home lane
-  std::unique_ptr<routing::ParallelRouteHub> route_hub_;
   std::unique_ptr<net::RadioMedium> medium_;
   std::unique_ptr<net::Internet> internet_;
   std::vector<std::unique_ptr<net::Host>> hosts_;

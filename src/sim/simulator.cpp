@@ -58,21 +58,20 @@ Simulator::~Simulator() {
 void Simulator::enable_parallelism(const ShardConfig& config) {
   assert(lanes_.size() == 1 && lanes_[0].queue.empty() &&
          "enable_parallelism must run before any event is scheduled");
+  assert(config.regions >= 2 && "one region is the sequential kernel");
   assert(config.lookahead > Duration::zero());
   lookahead_ = config.lookahead;
   lanes_.reserve(1 + config.regions);
-  if (config.regions > 1) {
-    for (std::uint32_t r = 1; r <= config.regions; ++r) {
-      // Region lanes draw from streams derived the same way sweep cells
-      // do: a function of (root seed, lane index) only -- never of thread
-      // count or execution order.
-      Lane& lane = lanes_.emplace_back(SimContext::derive_seed(seed_, r));
-      lane.ctx = std::make_unique<SimContext>();
-      lane.ctx->set_root_seed(SimContext::derive_seed(seed_, r));
-      const std::uint32_t index = r;
-      lane.ctx->adopt_time_source(this,
-                                  [this, index] { return lanes_[index].now; });
-    }
+  for (std::uint32_t r = 1; r <= config.regions; ++r) {
+    // Region lanes draw from streams derived the same way sweep cells do:
+    // a function of (root seed, lane index) only -- never of thread count
+    // or execution order.
+    Lane& lane = lanes_.emplace_back(SimContext::derive_seed(seed_, r));
+    lane.ctx = std::make_unique<SimContext>();
+    lane.ctx->set_root_seed(SimContext::derive_seed(seed_, r));
+    const std::uint32_t index = r;
+    lane.ctx->adopt_time_source(this,
+                                [this, index] { return lanes_[index].now; });
   }
   pool_ = std::make_unique<WorkerPool>(config.threads == 0 ? 1 : config.threads);
 }
@@ -102,15 +101,6 @@ TimePoint Simulator::now() const { return lanes_[current_lane()].now; }
 Rng& Simulator::rng() { return lanes_[current_lane()].rng; }
 
 SimContext& Simulator::ctx() { return lane_context(current_lane()); }
-
-void Simulator::parallel_for(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  if (pool_ != nullptr && !in_parallel_window()) {
-    pool_->run(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
 
 void Simulator::merge_lane_metrics() {
   if (lanes_merged_) return;

@@ -142,32 +142,32 @@ class Simulator {
   SimContext& ctx();
 
   // --- sharding ----------------------------------------------------------
-  /// Conservative-parallel configuration. `regions` is part of the
+  /// Conservative-parallel configuration. `regions` (>= 2) is part of the
   /// *simulation content* (it fixes RNG stream assignment and event
   /// interleavings); `threads` is pure execution policy and never affects
   /// results. `lookahead` must be a lower bound on every cross-lane
   /// interaction latency (the radio MAC latency in this codebase).
   struct ShardConfig {
-    std::uint32_t regions = 1;
+    std::uint32_t regions = 2;
     Duration lookahead = microseconds(500);
     unsigned threads = 1;
   };
 
-  /// Switches the kernel into parallel mode. Must be called before any
-  /// event is scheduled. With regions == 1 no lanes are added (the classic
-  /// sequential loop runs), but the worker pool becomes available to
-  /// parallel_for() hot loops.
+  /// Shards the kernel into `regions` region lanes executed on a worker
+  /// pool of `threads`. Must be called before any event is scheduled and
+  /// requires regions >= 2: a single region is the classic sequential
+  /// kernel, which is what a simulator never switched into this mode runs.
   void enable_parallelism(const ShardConfig& config);
 
   bool sharded() const { return lanes_.size() > 1; }
-  bool parallel_enabled() const { return pool_ != nullptr; }
   std::uint32_t lane_count() const {
     return static_cast<std::uint32_t>(lanes_.size());
   }
   /// Lane the calling thread is executing/scoped on (0 when none).
   std::uint32_t current_lane() const;
-  /// True while the calling thread is inside a concurrent lane window (in
-  /// which case helpers must not fan out nested parallel work).
+  /// True while the calling thread is inside a concurrent lane window: code
+  /// running there may touch only its own lane's state (the medium reads
+  /// the barrier snapshot of mobile positions instead of the live model).
   bool in_parallel_window() const;
 
   /// RAII: routes schedule()/rng()/ctx() on this thread to `lane` -- used
@@ -185,13 +185,6 @@ class Simulator {
     std::uint32_t prev_lane_;
     bool prev_in_window_;
   };
-
-  /// Runs `fn(i)` for i in [0, n) on the worker pool (inline when the pool
-  /// is absent, single-threaded, or the caller is already inside a lane
-  /// window). Tasks must be independent and results must not depend on
-  /// execution order -- callers keep determinism by writing to disjoint
-  /// slots and reducing sequentially afterwards.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Called after every lookahead window (and once before the first), with
   /// all lanes quiescent: the radio medium uses it to rebuild its spatial

@@ -2,12 +2,6 @@
 
 namespace siphoc::sim {
 
-namespace {
-// Set while a thread is inside WorkerPool::run as a worker/participant;
-// guards against nested dispatch (run() from inside a task runs inline).
-thread_local bool t_in_pool_task = false;
-}  // namespace
-
 WorkerPool::WorkerPool(unsigned threads) : threads_(threads == 0 ? 1 : threads) {
   for (unsigned i = 1; i < threads_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -25,8 +19,8 @@ WorkerPool::~WorkerPool() {
 
 void WorkerPool::run(std::size_t n, const std::function<void(std::size_t)>& task) {
   if (n == 0) return;
-  if (workers_.empty() || n == 1 || t_in_pool_task) {
-    // Inline path: single-threaded pools and nested calls execute on the
+  if (workers_.empty() || n == 1) {
+    // Inline path: single-threaded pools and single tasks execute on the
     // caller with no synchronization at all.
     for (std::size_t i = 0; i < n; ++i) task(i);
     return;
@@ -41,7 +35,6 @@ void WorkerPool::run(std::size_t n, const std::function<void(std::size_t)>& task
   work_cv_.notify_all();
 
   // The caller participates: claim indices until none remain.
-  t_in_pool_task = true;
   while (next_index_ < task_count_) {
     const std::size_t i = next_index_++;
     lock.unlock();
@@ -49,7 +42,6 @@ void WorkerPool::run(std::size_t n, const std::function<void(std::size_t)>& task
     lock.lock();
     ++finished_;
   }
-  t_in_pool_task = false;
   done_cv_.wait(lock, [this] { return finished_ == task_count_; });
   task_ = nullptr;
 }
@@ -61,7 +53,6 @@ void WorkerPool::worker_loop() {
     work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
     if (stop_) return;
     seen = generation_;
-    t_in_pool_task = true;
     while (task_ != nullptr && next_index_ < task_count_) {
       const std::size_t i = next_index_++;
       const auto* task = task_;
@@ -70,7 +61,6 @@ void WorkerPool::worker_loop() {
       lock.lock();
       if (++finished_ == task_count_) done_cv_.notify_all();
     }
-    t_in_pool_task = false;
   }
 }
 

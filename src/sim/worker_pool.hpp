@@ -1,15 +1,16 @@
-// Persistent worker pool for intra-simulation parallelism.
+// Persistent worker pool: the one pool behind every simulation fan-out.
 //
-// One pool per sharded Simulator: region lanes (and the parallel hot-loop
-// helpers -- delivery prefilter, OLSR route recalculation) dispatch chunky
-// tasks onto it at every lookahead window. The calling thread always
-// participates, so a pool built with `threads == 1` degenerates to an
-// inline loop with zero synchronization -- which is what keeps
-// `--sim-threads 1` and `--sim-threads N` on the *same* code path, a
-// precondition for the byte-identity guarantee (docs/ARCHITECTURE.md).
+// Two users, possibly nested: the parallel cell runner
+// (scenario/parallel.hpp) spreads independent simulations over one pool,
+// and every sharded Simulator owns a pool that runs its region lanes at
+// each lookahead window. The calling thread always participates, so a pool
+// built with `threads == 1` degenerates to an inline loop with zero
+// synchronization -- which is what keeps `--sim-threads 1` and
+// `--sim-threads N` on the *same* code path, a precondition for the
+// byte-identity guarantee (docs/ARCHITECTURE.md).
 //
-// Tasks must not call back into run() from a worker thread; nested calls
-// fall back to inline execution on the calling worker.
+// A task may call run() on a *different* pool (a sweep cell driving its
+// own sharded simulation), never on the pool that is executing it.
 #pragma once
 
 #include <condition_variable>

@@ -76,6 +76,39 @@ TEST(ParallelRunnerTest, MergedSidecarCarriesCellProvenance) {
   EXPECT_EQ(merged.counter_total("test.cells_total"), 3u);
 }
 
+TEST(ParallelRunnerTest, ShardedCellsNestTheirPoolsDeterministically) {
+  // Each cell drives its own sharded simulation, so the kernel's lane pool
+  // runs inside a task of the runner's pool. Nesting must not change a byte
+  // of the merged sidecar (and, under the tsan label, must not race).
+  auto grid = [](unsigned sim_threads) {
+    std::vector<Cell> cells;
+    for (std::size_t k = 0; k < 3; ++k) {
+      const std::uint64_t seed = SimContext::derive_seed(9, k);
+      cells.push_back({seed, [seed, sim_threads](SimContext& ctx) {
+                         Options o;
+                         o.context = &ctx;
+                         o.seed = seed;
+                         o.nodes = 6;
+                         o.topology = Topology::kGrid;
+                         o.spacing = 80;
+                         o.sim_regions = 4;
+                         o.sim_threads = sim_threads;
+                         Testbed bed(o);
+                         bed.start();
+                         bed.settle(seconds(2));
+                         bed.finalize_metrics();
+                       }});
+    }
+    return cells;
+  };
+  const auto serial = run_cells(grid(1), 1);
+  const auto nested = run_cells(grid(2), 2);
+
+  EXPECT_EQ(merged_metrics_json(serial), merged_metrics_json(nested));
+  EXPECT_GT(serial.front()->metrics().counter_total("aodv.hello_tx_total"),
+            0u);
+}
+
 TEST(ParallelRunnerTest, OversubscribedPoolStillCompletes) {
   // More workers than cells, and more cells than workers: both shapes must
   // complete every cell exactly once.

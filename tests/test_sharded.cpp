@@ -165,22 +165,11 @@ TEST(ShardedSimTest, GatewayAndInternetSerializeCorrectly) {
   EXPECT_GT(one.serialized, 0u) << "Internet events must serialize windows";
 }
 
-TEST(ShardedSimTest, RouteHubBatchingIsThreadCountInvariant) {
-  // regions == 1: parallel mode without sharding -- one lane, but route
-  // recalcs batch through the hub and delivery prefilters may fan out.
-  Workload w;
-  w.regions = 1;
-  const auto one = at_threads(w, 1);
-  const auto four = at_threads(w, 4);
-
-  EXPECT_TRUE(one.established);
-  EXPECT_TRUE(one == four) << "hub batching diverged across thread counts";
-}
-
 TEST(ShardedSimTest, RegionCountIsSimulationContent) {
   // Different region counts are different simulations (lane RNG streams,
-  // batching) -- like changing the seed. Document the contract: identity
-  // is only promised across thread counts at a fixed region count.
+  // event interleavings) -- like changing the seed. Document the contract:
+  // identity is only promised across thread counts at a fixed region
+  // count.
   const Workload w;
   const auto sequential = at_threads([] {
     Workload v;
@@ -193,6 +182,21 @@ TEST(ShardedSimTest, RegionCountIsSimulationContent) {
   EXPECT_TRUE(sharded.established);
   EXPECT_EQ(sequential.windows, 0u) << "regions=0 must use the classic loop";
   EXPECT_GT(sharded.windows, 0u);
+}
+
+TEST(ShardedSimTest, OneRegionIsTheSequentialKernel) {
+  // A single region has nothing to shard: regions = 1 runs the classic
+  // loop, with no pool, and is the same simulation as regions = 0 however
+  // many threads it is given.
+  Workload w;
+  w.regions = 0;
+  const auto sequential = at_threads(w, 1);
+  w.regions = 1;
+  const auto one_region = at_threads(w, 4);
+
+  EXPECT_TRUE(sequential.established);
+  EXPECT_EQ(one_region.windows, 0u) << "regions=1 must use the classic loop";
+  EXPECT_TRUE(one_region == sequential) << "regions=1 diverged from regions=0";
 }
 
 TEST(ShardedSimTest, RepartitionEquivalenceOnRestart) {

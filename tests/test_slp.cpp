@@ -241,6 +241,36 @@ TEST_P(ManetSlpTest, SnapshotShowsLocalAndLearned) {
   EXPECT_GE(snapshot.size(), 2u);
 }
 
+TEST_P(ManetSlpTest, MalformedExtensionIsCountedAndNamesThePacket) {
+  // The decode-error warning names the routing packet the bad extension
+  // rode on (routing::to_string(PacketKind)).
+  build(1);
+  auto& metrics = sim_->ctx().metrics();
+  const auto errors_before = metrics.counter_total("slp.decode_errors_total");
+  std::vector<std::string> warnings;
+  Logging::instance().set_sink(
+      [&](const LogRecord& rec) { warnings.push_back(rec.message); });
+  Logging::instance().set_level(LogLevel::kWarn);
+  const bool aodv = GetParam() == Plugin::kAodv;
+  routing::PacketInfo info;
+  info.kind = aodv ? routing::PacketKind::kAodvRreq
+                   : routing::PacketKind::kOlsrTc;
+  const Bytes junk = {0x05, 0xff, 0xff};
+  const auto verdict = dirs_[0]->on_incoming(info, junk, Address(10, 0, 0, 9));
+  Logging::instance().set_sink(nullptr);
+  Logging::instance().set_level(LogLevel::kOff);
+
+  EXPECT_FALSE(verdict.answer);
+  EXPECT_EQ(metrics.counter_total("slp.decode_errors_total") - errors_before,
+            1u);
+  ASSERT_EQ(warnings.size(), 1u);
+  const std::string expected = std::string("malformed SLP extension on ") +
+                               (aodv ? "AODV-RREQ" : "OLSR-TC") +
+                               " from 10.0.0.9";
+  EXPECT_NE(warnings.front().find(expected), std::string::npos)
+      << warnings.front();
+}
+
 INSTANTIATE_TEST_SUITE_P(Plugins, ManetSlpTest,
                          ::testing::Values(Plugin::kAodv, Plugin::kOlsr),
                          [](const auto& info) {
