@@ -1,7 +1,6 @@
 #include "routing/olsr.hpp"
 
 #include <algorithm>
-#include <queue>
 
 namespace siphoc::routing {
 
@@ -51,12 +50,13 @@ void Olsr::stop() {
   route_calc_.cancel();
   route_calc_pending_ = false;
   host_.unbind(net::kOlsrPort);
-  for (const auto& [dst, entry] : installed_routes_) host_.remove_route(dst, 32);
+  for (const auto& r : installed_routes_) host_.remove_route(r.dst, 32);
   installed_routes_.clear();
   // Forget the input snapshot: the empty FIB now corresponds to empty
   // inputs, so a restart must not early-out of its first recalculation.
   route_sym_last_.clear();
   route_edges_last_.clear();
+  routes_dirty_ = true;
   host_.add_route({net::kManetPrefix, net::kManetPrefixLen, std::nullopt,
                    net::Interface::kRadio, /*metric=*/100});
 }
@@ -76,7 +76,20 @@ std::set<net::Address> Olsr::symmetric_neighbors() const {
 }
 
 bool Olsr::has_route(net::Address dst) const {
-  return installed_routes_.contains(dst);
+  const auto it = std::lower_bound(
+      installed_routes_.begin(), installed_routes_.end(), dst,
+      [](const Route& r, net::Address a) { return r.dst < a; });
+  return it != installed_routes_.end() && it->dst == dst;
+}
+
+std::uint32_t Olsr::intern(net::Address a) {
+  const auto [it, fresh] = node_ids_.try_emplace(
+      a, static_cast<std::uint32_t>(node_addrs_.size()));
+  if (fresh) {
+    node_addrs_.push_back(a);
+    edges_by_originator_.emplace_back();
+  }
+  return it->second;
 }
 
 // --------------------------------------------------------------------------
@@ -133,8 +146,6 @@ void Olsr::send_tc() {
   m.tc.ansn = ++ansn_;
   m.tc.advertised.assign(selectors_.begin(), selectors_.end());
   m.extension = std::move(ext);
-  duplicates_.insert({self(), m.msg_seq});
-  duplicate_ttl_[{self(), m.msg_seq}] = now() + seconds(30);
   metrics_.tc_tx.add();
   transmit(std::move(m));
 }
@@ -186,11 +197,12 @@ void Olsr::on_packet(const net::Datagram& d, const net::RxInfo&) {
       continue;
     }
 
-    // TC: duplicate-suppressed processing + MPR forwarding.
-    const auto key = std::make_pair(m.originator, m.msg_seq);
-    if (duplicates_.contains(key)) continue;
-    duplicates_.insert(key);
-    duplicate_ttl_[key] = now() + seconds(30);
+    // TC: duplicate-suppressed processing + MPR forwarding. Our own TCs
+    // never get here (skipped above), so only received keys are recorded.
+    const std::uint64_t key =
+        (std::uint64_t{m.originator.value()} << 16) | m.msg_seq;
+    if (!duplicates_.insert(key).second) continue;
+    duplicate_fifo_.emplace_back(now() + seconds(30), key);
 
     process_tc(m);
     if (handler_ != nullptr) {
@@ -203,7 +215,9 @@ void Olsr::on_packet(const net::Datagram& d, const net::RxInfo&) {
 }
 
 void Olsr::process_hello(const Message& m, net::Address from) {
-  auto& link = links_[from];
+  const auto [entry, fresh] = links_.try_emplace(from);
+  LinkInfo& link = entry->second;
+  if (fresh) link.id = intern(from);
   link.last_heard = now();
 
   // Symmetry check: do they list us in any group?
@@ -217,7 +231,10 @@ void Olsr::process_hello(const Message& m, net::Address from) {
       }
     }
   }
-  if (lists_us) link.sym_until = now() + config_.neighbor_hold;
+  if (lists_us) {
+    if (link.sym_until <= now()) routes_dirty_ = true;  // becomes symmetric
+    link.sym_until = now() + config_.neighbor_hold;
+  }
   link.is_mpr_of_us = selects_us_mpr;
   if (selects_us_mpr) {
     selectors_.insert(from);
@@ -243,24 +260,38 @@ void Olsr::process_tc(const Message& m) {
   // RFC 9.5: keep only the newest advertisement set per originator.
   // Refresh surviving edges in place first, then drop the stale-ANSN
   // remainder: a periodic TC that re-advertises the same neighbor set
-  // then leaves topology_ untouched (same entries, same positions), which
-  // is what lets calculate_routes() early-out on its input snapshot.
+  // then leaves topology_ untouched (same entries, same positions) and
+  // the route inputs clean. Quirks kept on purpose: a TC with an older
+  // ANSN still refreshes (and lowers the ANSN of) the edges it names, and
+  // a destination repeated within one TC is refreshed, not duplicated.
+  const TimePoint t = now();
+  const std::uint32_t origin = intern(m.originator);
   for (const auto& dest : m.tc.advertised) {
-    const auto it = std::find_if(
-        topology_.begin(), topology_.end(), [&](const TopologyEdge& e) {
-          return e.last_hop == m.originator && e.dest == dest;
-        });
-    if (it != topology_.end()) {
-      it->ansn = m.tc.ansn;
-      it->expires = now() + config_.topology_hold;
+    const auto& slots = edges_by_originator_[origin];
+    const auto it = std::find_if(slots.begin(), slots.end(),
+                                 [&](std::uint32_t slot) {
+                                   return node_addrs_[topology_[slot].dest] ==
+                                          dest;
+                                 });
+    if (it != slots.end()) {
+      TopologyEdge& e = topology_[*it];
+      if (e.expires <= t) routes_dirty_ = true;  // revived before the purge
+      e.ansn = m.tc.ansn;
+      e.expires = t + config_.topology_hold;
     } else {
-      topology_.push_back(
-          {m.originator, dest, m.tc.ansn, now() + config_.topology_hold});
+      const std::uint32_t slot = static_cast<std::uint32_t>(topology_.size());
+      topology_.push_back({origin, intern(dest), m.tc.ansn, false,
+                           t + config_.topology_hold});
+      edges_by_originator_[origin].push_back(slot);  // after intern() grew it
+      routes_dirty_ = true;
     }
   }
-  std::erase_if(topology_, [&](const TopologyEdge& e) {
-    return e.last_hop == m.originator &&
-           static_cast<std::int16_t>(m.tc.ansn - e.ansn) > 0;
+  std::erase_if(edges_by_originator_[origin], [&](std::uint32_t slot) {
+    TopologyEdge& e = topology_[slot];
+    if (static_cast<std::int16_t>(m.tc.ansn - e.ansn) <= 0) return false;
+    e.erased = true;
+    routes_dirty_ = true;
+    return true;
   });
   schedule_route_calc();
 }
@@ -355,85 +386,110 @@ void Olsr::schedule_route_calc() {
 
 void Olsr::calculate_routes() {
   if (!running_) return;
-  struct Hop {
-    net::Address next_hop;
-    int distance = 0;
-  };
-  // Snapshot the routing inputs: the symmetric neighbor set (sorted, which
-  // is also the BFS seed order) and the live topology edges in scan order.
-  // Routes are a pure function of these, so when the snapshot matches the
-  // previous run the BFS below would reproduce installed_routes_
-  // bit-for-bit -- skip it. That is by far the common case: every HELLO
-  // and TC debounces into a recalc, but a converged network's periodic
-  // refreshes leave the inputs untouched.
+  // Routes are a pure function of the symmetric neighbor set and the live
+  // topology edges in scan order. Those change through the mutations that
+  // set routes_dirty_, and with time alone at routes_deadline_ (a link
+  // lapsing, an edge expiring). Before then a clean recalc is a no-op --
+  // by far the common case: every HELLO and TC debounces into a recalc,
+  // but a converged network's periodic refreshes leave the inputs alone.
   const TimePoint t = now();
+  if (!routes_dirty_ && t < routes_deadline_) return;
+  routes_dirty_ = false;
+
+  // Snapshot the inputs: the symmetric neighbors (sorted, which is also
+  // the BFS seed order) and the live edges in scan order. An unchanged
+  // snapshot would make the BFS below reproduce installed_routes_
+  // bit-for-bit, so it only moves the deadline.
+  TimePoint deadline = TimePoint::max();
   route_sym_scratch_.clear();
   for (const auto& [addr, link] : links_) {
-    if (link.sym_until > t) route_sym_scratch_.push_back(addr);
+    if (link.sym_until <= t) continue;
+    route_sym_scratch_.emplace_back(addr, link.id);
+    deadline = std::min(deadline, link.sym_until);
   }
   std::sort(route_sym_scratch_.begin(), route_sym_scratch_.end());
   route_edges_scratch_.clear();
   for (const auto& e : topology_) {
-    if (e.expires <= t) continue;
+    if (e.erased || e.expires <= t) continue;
     route_edges_scratch_.push_back(e.last_hop);
     route_edges_scratch_.push_back(e.dest);
+    deadline = std::min(deadline, e.expires);
   }
+  routes_deadline_ = deadline;
   if (route_sym_scratch_ == route_sym_last_ &&
       route_edges_scratch_ == route_edges_last_) {
     return;
   }
-  route_sym_last_ = route_sym_scratch_;
-  route_edges_last_ = route_edges_scratch_;
+  route_sym_last_.swap(route_sym_scratch_);
+  route_edges_last_.swap(route_edges_scratch_);
 
   // Adjacency from TC edges (last_hop -> dest) in both directions: links
-  // are bidirectional once symmetric. Indexed up front so the BFS is
-  // O(V + E) instead of rescanning the whole topology set per visited
-  // node; per-node neighbor lists keep topology_ scan order so
-  // equal-distance tie-breaks pick the same next hop a linear scan would.
-  std::unordered_map<net::Address, std::vector<net::Address>> adjacency;
-  adjacency.reserve(route_edges_scratch_.size());
-  for (std::size_t i = 0; i + 1 < route_edges_scratch_.size(); i += 2) {
-    adjacency[route_edges_scratch_[i]].push_back(route_edges_scratch_[i + 1]);
-    adjacency[route_edges_scratch_[i + 1]].push_back(route_edges_scratch_[i]);
+  // are bidirectional once symmetric. CSR over node ids, filled in
+  // topology_ scan order so equal-distance tie-breaks pick the same next
+  // hop a linear scan would.
+  const std::uint32_t me = intern(self());
+  bfs_.queue.clear();
+  for (const auto& [addr, id] : route_sym_last_) bfs_.queue.push_back(id);
+  const std::size_t nodes = node_addrs_.size();
+  const auto& edges = route_edges_last_;
+  bfs_.offsets.assign(nodes + 1, 0);
+  for (const std::uint32_t v : edges) ++bfs_.offsets[v + 1];
+  for (std::size_t v = 0; v < nodes; ++v) {
+    bfs_.offsets[v + 1] += bfs_.offsets[v];
+  }
+  bfs_.cursor.assign(bfs_.offsets.begin(), bfs_.offsets.end() - 1);
+  bfs_.targets.resize(edges.size());
+  for (std::size_t i = 0; i + 1 < edges.size(); i += 2) {
+    bfs_.targets[bfs_.cursor[edges[i]]++] = edges[i + 1];
+    bfs_.targets[bfs_.cursor[edges[i + 1]]++] = edges[i];
   }
 
-  std::unordered_map<net::Address, Hop> reach;
-  std::queue<net::Address> frontier;
-  for (const auto& n : route_sym_scratch_) {
-    reach[n] = {n, 1};
-    frontier.push(n);
+  // Hop-count BFS from the seeds already queued; distance 0 means
+  // unreached.
+  bfs_.distance.assign(nodes, 0);
+  bfs_.next_hop.resize(nodes);
+  for (const std::uint32_t n : bfs_.queue) {
+    bfs_.distance[n] = 1;
+    bfs_.next_hop[n] = n;
   }
-  while (!frontier.empty()) {
-    const net::Address u = frontier.front();
-    frontier.pop();
-    const Hop hop = reach.at(u);
-    const auto adj = adjacency.find(u);
-    if (adj == adjacency.end()) continue;
-    for (const net::Address v : adj->second) {
-      if (v == self() || reach.contains(v)) continue;
-      reach[v] = {hop.next_hop, hop.distance + 1};
-      frontier.push(v);
+  for (std::size_t head = 0; head < bfs_.queue.size(); ++head) {
+    const std::uint32_t u = bfs_.queue[head];
+    for (std::uint32_t k = bfs_.offsets[u]; k < bfs_.offsets[u + 1]; ++k) {
+      const std::uint32_t v = bfs_.targets[k];
+      if (v == me || bfs_.distance[v] != 0) continue;
+      bfs_.distance[v] = bfs_.distance[u] + 1;
+      bfs_.next_hop[v] = bfs_.next_hop[u];
+      bfs_.queue.push_back(v);
     }
   }
 
-  std::map<net::Address, std::pair<net::Address, int>> routes;
-  for (const auto& [dst, hop] : reach) {
-    routes.emplace(dst, std::make_pair(hop.next_hop, hop.distance));
+  auto& routes = bfs_.routes;
+  routes.clear();
+  for (const std::uint32_t v : bfs_.queue) {
+    routes.push_back({node_addrs_[v], node_addrs_[bfs_.next_hop[v]],
+                      bfs_.distance[v]});
   }
+  std::sort(routes.begin(), routes.end(),
+            [](const Route& a, const Route& b) { return a.dst < b.dst; });
 
-  // Mirror into the host FIB: touch only routes whose next hop or metric
-  // actually changed, drop vanished ones. Steady state (converged
-  // network, periodic TCs) then costs zero FIB writes.
-  for (const auto& [dst, entry] : routes) {
-    const auto it = installed_routes_.find(dst);
-    if (it != installed_routes_.end() && it->second == entry) continue;
-    host_.add_route(
-        {dst, 32, entry.first, net::Interface::kRadio, entry.second});
+  // Mirror into the host FIB with a two-pointer diff of the sorted
+  // vectors: touch only routes whose next hop or metric actually changed
+  // (ascending dst), then drop vanished ones (ascending dst). Steady state
+  // (converged network, periodic TCs) then costs zero FIB writes.
+  auto old = installed_routes_.cbegin();
+  for (const Route& r : routes) {
+    while (old != installed_routes_.cend() && old->dst < r.dst) ++old;
+    if (old != installed_routes_.cend() && *old == r) continue;
+    host_.add_route({r.dst, 32, r.next_hop, net::Interface::kRadio, r.metric});
   }
-  for (const auto& [dst, entry] : installed_routes_) {
-    if (!routes.contains(dst)) host_.remove_route(dst, 32);
+  auto cur = routes.cbegin();
+  for (const Route& r : installed_routes_) {
+    while (cur != routes.cend() && cur->dst < r.dst) ++cur;
+    if (cur == routes.cend() || cur->dst != r.dst) {
+      host_.remove_route(r.dst, 32);
+    }
   }
-  installed_routes_ = std::move(routes);
+  installed_routes_.swap(routes);
 }
 
 void Olsr::expire_state() {
@@ -449,18 +505,32 @@ void Olsr::expire_state() {
       ++it;
     }
   }
-  const auto before = topology_.size();
-  std::erase_if(topology_,
-                [&](const TopologyEdge& e) { return e.expires <= t; });
-  changed = changed || topology_.size() != before;
-  std::erase_if(duplicate_ttl_, [&](const auto& kv) {
-    if (kv.second <= t) {
-      duplicates_.erase(kv.first);
-      return true;
+  // Compact expired edges and tombstones, keeping scan order; only an
+  // edge that expired (not one a newer ANSN already dropped) is a change.
+  bool compact = false;
+  for (const auto& e : topology_) {
+    if (e.erased) {
+      compact = true;
+    } else if (e.expires <= t) {
+      compact = changed = true;
     }
-    return false;
-  });
+  }
+  if (compact) {
+    std::erase_if(topology_, [&](const TopologyEdge& e) {
+      return e.erased || e.expires <= t;
+    });
+    for (auto& slots : edges_by_originator_) slots.clear();
+    for (std::size_t i = 0; i < topology_.size(); ++i) {
+      edges_by_originator_[topology_[i].last_hop].push_back(
+          static_cast<std::uint32_t>(i));
+    }
+  }
+  while (!duplicate_fifo_.empty() && duplicate_fifo_.front().first <= t) {
+    duplicates_.erase(duplicate_fifo_.front().second);
+    duplicate_fifo_.pop_front();
+  }
   if (changed) {
+    routes_dirty_ = true;
     select_mprs();
     schedule_route_calc();
   }

@@ -3,8 +3,10 @@
 // Implements link sensing with symmetry confirmation via HELLO, two-hop
 // neighborhood tracking, greedy MPR selection, TC origination by nodes with
 // MPR selectors, MPR-based default forwarding with duplicate suppression,
-// a topology set with validity times, and hop-count shortest-path (Dijkstra)
-// route computation mirrored into the host FIB.
+// a topology set with validity times, and hop-count shortest-path (BFS)
+// route computation mirrored into the host FIB. Route recalculation is
+// skipped while its inputs provably cannot have changed (docs/PERFORMANCE.md
+// section 5).
 //
 // SIPHoc integration: the RoutingHandler seam fires for every originated
 // HELLO and TC, and for every *first* reception of a message carrying an
@@ -12,9 +14,10 @@
 // the advertisement to every node -- the proactive piggyback channel).
 #pragma once
 
-#include <map>
+#include <deque>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "net/host.hpp"
 #include "routing/olsr_codec.hpp"
@@ -62,12 +65,20 @@ class Olsr final : public Protocol {
     TimePoint last_heard{};
     TimePoint sym_until{};  // symmetric while now < sym_until
     bool is_mpr_of_us = false;
+    std::uint32_t id = 0;  // interned neighbor address
   };
   struct TopologyEdge {
-    net::Address last_hop;  // TC originator
-    net::Address dest;      // advertised neighbor
+    std::uint32_t last_hop;  // TC originator (interned node id)
+    std::uint32_t dest;      // advertised neighbor (interned node id)
     std::uint16_t ansn = 0;
+    bool erased = false;  // dropped by a newer ANSN; compacted by expire_state
     TimePoint expires{};
+  };
+  struct Route {
+    net::Address dst;
+    net::Address next_hop;
+    int metric = 0;
+    friend bool operator==(const Route&, const Route&) = default;
   };
 
   struct Metrics {
@@ -93,6 +104,8 @@ class Olsr final : public Protocol {
   void schedule_route_calc();
   void calculate_routes();
   void expire_state();
+  /// Dense id of a node address, assigned on first sight and never reused.
+  std::uint32_t intern(net::Address a);
 
   bool is_symmetric(net::Address n) const {
     const auto it = links_.find(n);
@@ -114,21 +127,49 @@ class Olsr final : public Protocol {
   std::unordered_map<net::Address, std::set<net::Address>> two_hop_;
   std::set<net::Address> mprs_;       // we relay through these
   std::set<net::Address> selectors_;  // these relay through us
+  // Interned node ids: node_addrs_[id] is the address, node_ids_ the
+  // reverse map. Topology edges, the route snapshot and the BFS use ids.
+  std::unordered_map<net::Address, std::uint32_t> node_ids_;
+  std::vector<net::Address> node_addrs_;
+  // Topology set in scan order (insertion order of surviving edges, which
+  // decides next-hop ties). Entries dropped by a newer ANSN stay as
+  // tombstones until expire_state() compacts the vector in order.
   std::vector<TopologyEdge> topology_;
-  std::set<std::pair<net::Address, std::uint16_t>> duplicates_;
-  std::map<std::pair<net::Address, std::uint16_t>, TimePoint> duplicate_ttl_;
+  // originator id -> slots in topology_ of its edges that are not erased.
+  std::vector<std::vector<std::uint32_t>> edges_by_originator_;
+  // Received TC keys (originator << 16 | msg_seq). Every key expires 30 s
+  // after it was inserted, so the FIFO is also in expiry order.
+  std::unordered_set<std::uint64_t> duplicates_;
+  std::deque<std::pair<TimePoint, std::uint64_t>> duplicate_fifo_;
 
-  // dst -> (next_hop, metric) currently mirrored into the host FIB; lets
-  // route recalculation skip FIB writes for unchanged entries.
-  std::map<net::Address, std::pair<net::Address, int>> installed_routes_;
-  // Input snapshot from the last route calculation (sorted symmetric
-  // neighbors; live topology edges as flat last_hop/dest pairs in scan
-  // order) plus reusable scratch, so unchanged-input recalcs early-out
-  // without allocating.
-  std::vector<net::Address> route_sym_last_;
-  std::vector<net::Address> route_sym_scratch_;
-  std::vector<net::Address> route_edges_last_;
-  std::vector<net::Address> route_edges_scratch_;
+  // Routes currently mirrored into the host FIB, sorted by dst; lets route
+  // recalculation skip FIB writes for unchanged entries.
+  std::vector<Route> installed_routes_;
+  // Input snapshot from the last route calculation (symmetric neighbors
+  // as (address, id), sorted; live topology edges as flat last_hop/dest id
+  // pairs in scan order) plus reusable scratch. A recalc whose snapshot
+  // matches the previous one returns without touching the FIB.
+  std::vector<std::pair<net::Address, std::uint32_t>> route_sym_last_;
+  std::vector<std::pair<net::Address, std::uint32_t>> route_sym_scratch_;
+  std::vector<std::uint32_t> route_edges_last_;
+  std::vector<std::uint32_t> route_edges_scratch_;
+  // Set by every mutation that can change the snapshot (a link turning
+  // symmetric, a new, revived or erased edge, a link or edge removal,
+  // stop()). routes_deadline_ is the earliest sym_until / expires in the
+  // last snapshot: the inputs also change with time, when a link lapses or
+  // an edge expires without any message. Before it, a clean recalc cannot
+  // differ from the last one and returns without building the snapshot.
+  bool routes_dirty_ = true;
+  TimePoint routes_deadline_{};
+  // BFS scratch over node ids, reused across recalculations: CSR
+  // adjacency (offsets/cursor/targets), per-node hop state, FIFO queue,
+  // and the sorted result.
+  struct Bfs {
+    std::vector<std::uint32_t> offsets, cursor, targets;
+    std::vector<int> distance;
+    std::vector<std::uint32_t> next_hop, queue;
+    std::vector<Route> routes;
+  } bfs_;
   sim::PeriodicTimer hello_timer_;
   sim::PeriodicTimer tc_timer_;
   sim::PeriodicTimer housekeeping_timer_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "routing/olsr.hpp"
+#include "scenario/scenario.hpp"
 
 namespace siphoc::routing {
 namespace {
@@ -207,6 +208,221 @@ TEST_F(OlsrNet, NudgeAdvertisementEmitsImmediately) {
   const auto before = daemons_[0]->stats().control_packets_sent;
   daemons_[0]->nudge_advertisement();
   EXPECT_GT(daemons_[0]->stats().control_packets_sent, before);
+}
+
+// ---------------------------------------------------------------------------
+// Topology-set edge cases, pinned through hand-built TCs
+// ---------------------------------------------------------------------------
+
+// One daemon (n0) next to a raw host (n1) that speaks hand-built OLSR:
+// HELLOs listing n0 keep n1 a symmetric neighbour, and TCs from a
+// fictitious originator X put edges into n0's topology set. n0's route to
+// a node X advertises (n0 -> n1 -> X -> dest, metric 3) is the window
+// into that set; X advertises n1 in every TC so that X itself stays
+// reachable.
+class OlsrTcInput : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    sim_ = std::make_unique<sim::Simulator>(11);
+    medium_ = std::make_unique<net::RadioMedium>(*sim_, net::RadioConfig{});
+    for (std::size_t i = 0; i < 2; ++i) {
+      hosts_.push_back(std::make_unique<net::Host>(
+          *sim_, static_cast<net::NodeId>(i), "n" + std::to_string(i)));
+      hosts_.back()->attach_radio(
+          *medium_, addr(i),
+          std::make_shared<net::StaticMobility>(
+              net::Position{static_cast<double>(i) * 100.0, 0}));
+    }
+    daemon_ = std::make_unique<Olsr>(*hosts_[0]);
+    daemon_->start();
+  }
+
+  static Address addr(std::size_t i) {
+    return Address{net::kManetPrefix.value() + static_cast<std::uint32_t>(i) +
+                   1};
+  }
+
+  void hello() {
+    olsr::Message m;
+    m.type = olsr::MsgType::kHello;
+    m.originator = addr(1);
+    m.hello.links.push_back({olsr::LinkCode::kSym, {addr(0)}});
+    send(std::move(m));
+  }
+
+  void tc(std::uint16_t ansn, std::vector<Address> advertised) {
+    olsr::Message m;
+    m.type = olsr::MsgType::kTc;
+    m.vtime_ms = 15000;
+    m.originator = kX;
+    m.ttl = 255;
+    m.tc.ansn = ansn;
+    m.tc.advertised = std::move(advertised);
+    send(std::move(m));
+  }
+
+  void send(olsr::Message m) {
+    m.msg_seq = ++seq_;
+    olsr::Packet p;
+    p.pkt_seq = seq_;
+    p.messages.push_back(std::move(m));
+    hosts_[1]->send_broadcast(net::kOlsrPort, net::kOlsrPort,
+                              olsr::encode(p));
+  }
+
+  /// Advances virtual time with a HELLO from n1 every 2 s, well inside
+  /// n0's 6 s neighbour hold.
+  void run(Duration d) {
+    const TimePoint end = sim_->now() + d;
+    while (sim_->now() < end) {
+      hello();
+      sim_->run_for(std::min<Duration>(seconds(2), end - sim_->now()));
+    }
+  }
+
+  /// Hop count of n0's route to dst, or -1 when there is none.
+  int metric(Address dst) const {
+    const auto route = hosts_[0]->lookup_route(dst);
+    if (!daemon_->has_route(dst) || !route) return -1;
+    return route->metric;
+  }
+
+  static constexpr Address kX{net::kManetPrefix.value() + 50};
+  static constexpr Address kA{net::kManetPrefix.value() + 60};
+  static constexpr Address kB{net::kManetPrefix.value() + 70};
+
+  std::unique_ptr<sim::Simulator> sim_;
+  std::unique_ptr<net::RadioMedium> medium_;
+  std::vector<std::unique_ptr<net::Host>> hosts_;
+  std::unique_ptr<Olsr> daemon_;
+  std::uint16_t seq_ = 0;
+};
+
+TEST_F(OlsrTcInput, OlderAnsnTcRefreshesAndLowersTheEdgesItNames) {
+  run(seconds(1));
+  tc(10, {addr(1), kA});
+  run(seconds(10));
+  ASSERT_EQ(metric(kA), 3);
+  // RFC 3626 9.5 would discard this TC. The daemon instead refreshes the
+  // edges it names and stamps them with the older ANSN.
+  tc(9, {addr(1), kA});
+  run(seconds(10));
+  EXPECT_EQ(metric(kA), 3);  // 20 s after the first TC: refreshed
+  // The A edge now carries ANSN 9, so a TC with ANSN 10 drops it.
+  tc(10, {addr(1)});
+  run(seconds(1));
+  EXPECT_EQ(metric(kA), -1);
+  EXPECT_EQ(metric(kX), 2);
+}
+
+TEST_F(OlsrTcInput, NewerAnsnEdgesSurviveAnOlderTc) {
+  run(seconds(1));
+  tc(10, {addr(1), kA});
+  run(seconds(1));
+  tc(9, {addr(1), kB});
+  run(seconds(1));
+  EXPECT_EQ(metric(kA), 3);  // ANSN 10 is newer than the TC's 9: kept
+  EXPECT_EQ(metric(kB), 3);  // the older TC still adds its edges
+  tc(11, {addr(1)});
+  run(seconds(1));
+  EXPECT_EQ(metric(kA), -1);
+  EXPECT_EQ(metric(kB), -1);
+  EXPECT_EQ(metric(kX), 2);
+}
+
+TEST_F(OlsrTcInput, RepeatedDestinationInOneTcIsOneEdge) {
+  run(seconds(1));
+  tc(10, {addr(1), kA, kA});
+  run(seconds(1));
+  ASSERT_EQ(metric(kA), 3);
+  tc(9, {kA});  // lowers the A edge to ANSN 9
+  run(seconds(1));
+  tc(10, {addr(1)});
+  run(seconds(1));
+  // A second X->A edge would still carry ANSN 10 and keep the route.
+  EXPECT_EQ(metric(kA), -1);
+  EXPECT_EQ(metric(kX), 2);
+}
+
+TEST_F(OlsrTcInput, ExpiredEdgeRevivesBeforeHousekeepingPurgesIt) {
+  // Housekeeping runs every 500 ms from start; the TC lands just after
+  // t = 1 s, so its edges expire just after t = 16 s and survive in the
+  // topology set, expired, until the purge at t = 16.5 s.
+  run(seconds(1));
+  tc(10, {addr(1), kA});
+  run(seconds(15) + milliseconds(100));
+  // A HELLO at 16.1 s triggers a recalculation that sees the edges
+  // expired: the routes through X are gone.
+  hello();
+  sim_->run_for(milliseconds(50));
+  ASSERT_EQ(metric(kA), -1);
+  ASSERT_EQ(metric(kX), -1);
+  // The same TC again at 16.15 s refreshes the expired, unpurged edges in
+  // place; the recalculation it schedules must bring the routes back.
+  tc(10, {addr(1), kA});
+  sim_->run_for(milliseconds(100));
+  EXPECT_EQ(metric(kA), 3);
+  EXPECT_EQ(metric(kX), 2);
+}
+
+// ---------------------------------------------------------------------------
+// Golden route tables under mobility
+// ---------------------------------------------------------------------------
+
+// Every host's FIB (prefix, length, next hop, metric, in FIB order),
+// sampled every 10 ms of virtual time for `length` and folded into one
+// FNV-1a hash. Mobility makes symmetric links lapse and TC edges expire
+// on their own clocks, between the messages that mutate OLSR state, so
+// the hash changes if a route recalculation is ever skipped or reordered.
+std::uint64_t route_table_trace(std::uint64_t seed, Duration length) {
+  scenario::Options o;
+  o.seed = seed;
+  o.nodes = 30;
+  o.topology = scenario::Topology::kRandomArea;
+  o.area = 450;
+  o.routing = RoutingKind::kOlsr;
+  o.mobile = true;
+  o.waypoint = {.width = 450, .height = 450, .min_speed = 5, .max_speed = 20,
+                .pause = seconds(1)};
+  scenario::Testbed bed(o);
+  bed.start();
+
+  std::uint64_t h = 14695981039346656037ull;
+  const auto fold = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  const TimePoint end = bed.sim().now() + length;
+  while (bed.sim().now() < end) {
+    bed.sim().run_for(milliseconds(10));
+    for (std::size_t i = 0; i < bed.size(); ++i) {
+      const auto& routes = bed.host(i).routes();
+      fold(routes.size());
+      for (const auto& r : routes) {
+        fold(r.prefix.value());
+        fold(static_cast<std::uint64_t>(r.prefix_len));
+        fold(r.next_hop ? 0x100000000ull | r.next_hop->value() : 0);
+        fold(static_cast<std::uint64_t>(r.metric));
+      }
+    }
+  }
+  return h;
+}
+
+TEST(OlsrGolden, MobileRouteTablesMatchTheRecordedTrace) {
+  const std::pair<std::uint64_t, std::uint64_t> golden[] = {
+      {1, 0xf862db8594935903ull},
+      {2, 0x5cd96cb5d3cf26e8ull},
+      {3, 0xea2893f0317dfa38ull},
+      {4, 0x8469d9d684d8d1acull},
+  };
+  for (const auto& [seed, expected] : golden) {
+    const std::uint64_t got = route_table_trace(seed, seconds(90));
+    EXPECT_EQ(got, expected) << "seed " << seed << ": got 0x" << std::hex
+                             << got;
+  }
 }
 
 }  // namespace
