@@ -54,8 +54,16 @@ struct StoreRow {
   double threads = 1;
 };
 
-std::string key_of(std::size_t i) {
-  return "user" + std::to_string(i) + "@voicehoc.ch";
+/// AOR keys for bindings 0..n-1, built once before any clock starts so
+/// that no timed window (nor the untimed work between two timed ones)
+/// formats strings.
+std::vector<std::string> make_keys(std::size_t n) {
+  std::vector<std::string> keys;
+  keys.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    keys.push_back("user" + std::to_string(i) + "@voicehoc.ch");
+  }
+  return keys;
 }
 
 sip::Uri contact_of(std::size_t i) {
@@ -77,7 +85,8 @@ double percentile(std::vector<double>& sorted_ns, double p) {
 /// Preload + mixed workload against one backend. Key choice uses a fixed
 /// LCG so every backend sees the identical op stream.
 StoreRow run_store(sip::BindingStore& store, const std::string& label,
-                   std::size_t bindings, std::size_t ops) {
+                   const std::vector<std::string>& keys, std::size_t ops) {
+  const std::size_t bindings = keys.size();
   const TimePoint expiry = TimePoint{} + hours(1);
   StoreRow row;
   row.label = label;
@@ -85,7 +94,7 @@ StoreRow run_store(sip::BindingStore& store, const std::string& label,
   {
     const bench::WallTimer wall;
     for (std::size_t i = 0; i < bindings; ++i) {
-      store.upsert(key_of(i), contact_of(i), expiry);
+      store.upsert(keys[i], contact_of(i), expiry);
     }
     row.preload_per_s =
         static_cast<double>(bindings) / (wall.elapsed_ms() / 1000.0);
@@ -102,12 +111,12 @@ StoreRow run_store(sip::BindingStore& store, const std::string& label,
     const std::size_t i = static_cast<std::size_t>(x >> 33) % bindings;
     if (op % 10 == 0) {
       const bench::WallTimer t;
-      store.upsert(key_of(i), contact_of(i), expiry + seconds(op % 600));
+      store.upsert(keys[i], contact_of(i), expiry + seconds(op % 600));
       refresh_ms += t.elapsed_ms();
       ++refreshes;
     } else {
       const auto t0 = std::chrono::steady_clock::now();
-      const auto found = store.lookup(key_of(i), TimePoint{});
+      const auto found = store.lookup(keys[i], TimePoint{});
       const auto t1 = std::chrono::steady_clock::now();
       lookup_ns.push_back(
           std::chrono::duration<double, std::nano>(t1 - t0).count());
@@ -134,7 +143,8 @@ StoreRow run_store(sip::BindingStore& store, const std::string& label,
 /// preloaded sharded store, aggregate lookups/sec (latency percentiles come
 /// from the single-thread row; here the axis is scaling).
 StoreRow run_sharded_parallel(sip::ShardedBindingStore& store,
-                              std::size_t bindings, std::size_t ops) {
+                              const std::vector<std::string>& keys,
+                              std::size_t ops) {
   constexpr unsigned kReaders = 4;
   StoreRow row;
   row.label = "sharded, " + std::to_string(kReaders) + " readers";
@@ -148,8 +158,8 @@ StoreRow run_sharded_parallel(sip::ShardedBindingStore& store,
       std::uint64_t done = 0;
       for (std::size_t op = 0; op < ops / kReaders; ++op) {
         x = x * 6364136223846793005ull + 1442695040888963407ull;
-        const std::size_t i = static_cast<std::size_t>(x >> 33) % bindings;
-        if (store.lookup(key_of(i), TimePoint{})) ++done;
+        const std::size_t i = static_cast<std::size_t>(x >> 33) % keys.size();
+        if (store.lookup(keys[i], TimePoint{})) ++done;
       }
       total.fetch_add(done);
     });
@@ -376,6 +386,7 @@ int main(int argc, char** argv) {
   std::printf("-----------------------+-------------------------------------+"
               "------------------\n");
 
+  const std::vector<std::string> keys = make_keys(bindings);
   bench::JsonReport report("bench_registrar");
   auto add_store_row = [&](const std::string& label, const StoreRow& r) {
     report.add_row("store/" + label,
@@ -392,7 +403,7 @@ int main(int argc, char** argv) {
   StoreRow single;
   {
     sip::SingleMapStore store;
-    single = run_store(store, "single-map", bindings, ops);
+    single = run_store(store, "single-map", keys, ops);
     print_store_row(single);
     add_store_row("single-map", single);
   }
@@ -402,10 +413,10 @@ int main(int argc, char** argv) {
     config.shards = 16;
     config.initial_capacity = bindings / config.shards;
     sip::ShardedBindingStore store(config);
-    sharded = run_store(store, "sharded (16)", bindings, ops);
+    sharded = run_store(store, "sharded (16)", keys, ops);
     print_store_row(sharded);
     add_store_row("sharded", sharded);
-    const StoreRow parallel = run_sharded_parallel(store, bindings, ops);
+    const StoreRow parallel = run_sharded_parallel(store, keys, ops);
     print_store_row(parallel);
     add_store_row("sharded-4-readers", parallel);
   }

@@ -6,22 +6,48 @@
 
 namespace siphoc {
 
+namespace {
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+}
+
+}  // namespace
+
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8: t[k][b] is the CRC of byte b followed by k zero bytes,
+  // so the main loop folds eight input bytes with eight independent
+  // lookups. t[0] is the classic byte-at-a-time table; it finishes the
+  // tail. Loads are assembled byte by byte: no alignment assumption.
+  static const auto t = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> tables{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      tables[0][i] = c;
     }
-    return t;
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = tables[k - 1][i];
+        tables[k][i] = tables[0][prev & 0xffu] ^ (prev >> 8);
+      }
+    }
+    return tables;
   }();
   std::uint32_t crc = 0xffffffffu;
-  for (const std::uint8_t b : data) {
-    crc = table[(crc ^ b) & 0xffu] ^ (crc >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   return crc ^ 0xffffffffu;
 }
 

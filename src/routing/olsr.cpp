@@ -28,6 +28,7 @@ Olsr::~Olsr() {
 void Olsr::start() {
   if (running_) return;
   running_ = true;
+  self_id_ = intern(self());
   // The daemon owns the FIB (see Aodv::start): drop the on-link /24 so
   // only computed routes are used.
   host_.remove_route(net::kManetPrefix, net::kManetPrefixLen);
@@ -67,12 +68,20 @@ void Olsr::nudge_advertisement() {
   send_tc();
 }
 
-std::set<net::Address> Olsr::symmetric_neighbors() const {
+std::set<net::Address> Olsr::symmetric_neighbors(TimePoint t) const {
   std::set<net::Address> out;
   for (const auto& [addr, link] : links_) {
-    if (link.sym_until > now()) out.insert(addr);
+    if (link.sym_until > t) out.insert(addr);
   }
   return out;
+}
+
+const std::set<net::Address>& Olsr::mpr_set() {
+  if (mprs_dirty_) {
+    select_mprs(mprs_time_);
+    mprs_dirty_ = false;
+  }
+  return mprs_;
 }
 
 bool Olsr::has_route(net::Address dst) const {
@@ -83,13 +92,15 @@ bool Olsr::has_route(net::Address dst) const {
 }
 
 std::uint32_t Olsr::intern(net::Address a) {
-  const auto [it, fresh] = node_ids_.try_emplace(
-      a, static_cast<std::uint32_t>(node_addrs_.size()));
-  if (fresh) {
-    node_addrs_.push_back(a);
-    edges_by_originator_.emplace_back();
-  }
-  return it->second;
+  const auto it = std::lower_bound(
+      ids_by_addr_.begin(), ids_by_addr_.end(), a,
+      [](const auto& entry, net::Address x) { return entry.first < x; });
+  if (it != ids_by_addr_.end() && it->first == a) return it->second;
+  const auto id = static_cast<std::uint32_t>(node_addrs_.size());
+  ids_by_addr_.insert(it, {a, id});
+  node_addrs_.push_back(a);
+  edges_by_originator_.emplace_back();
+  return id;
 }
 
 // --------------------------------------------------------------------------
@@ -107,9 +118,10 @@ void Olsr::send_hello() {
   Hello::LinkGroup sym{LinkCode::kSym, {}};
   Hello::LinkGroup mpr{LinkCode::kMpr, {}};
   Hello::LinkGroup asym{LinkCode::kAsym, {}};
+  const auto& mprs = mpr_set();
   for (const auto& [addr, link] : links_) {
     if (link.sym_until > now()) {
-      (mprs_.contains(addr) ? mpr : sym).neighbors.push_back(addr);
+      (mprs.contains(addr) ? mpr : sym).neighbors.push_back(addr);
     } else if (link.last_heard + config_.neighbor_hold > now()) {
       asym.neighbors.push_back(addr);
     }
@@ -252,7 +264,7 @@ void Olsr::process_hello(const Message& m, net::Address from) {
   }
   two_hop_[from] = std::move(their_neighbors);
 
-  select_mprs();
+  mark_mprs_dirty();
   schedule_route_calc();
 }
 
@@ -315,8 +327,8 @@ void Olsr::maybe_forward(const Message& m, net::Address prev_hop) {
 // MPR selection (RFC 8.3.1, greedy heuristic)
 // --------------------------------------------------------------------------
 
-void Olsr::select_mprs() {
-  std::set<net::Address> neighbors = symmetric_neighbors();
+void Olsr::select_mprs(TimePoint t) {
+  std::set<net::Address> neighbors = symmetric_neighbors(t);
 
   // Two-hop nodes strictly two hops away.
   std::set<net::Address> uncovered;
@@ -427,7 +439,6 @@ void Olsr::calculate_routes() {
   // are bidirectional once symmetric. CSR over node ids, filled in
   // topology_ scan order so equal-distance tie-breaks pick the same next
   // hop a linear scan would.
-  const std::uint32_t me = intern(self());
   bfs_.queue.clear();
   for (const auto& [addr, id] : route_sym_last_) bfs_.queue.push_back(id);
   const std::size_t nodes = node_addrs_.size();
@@ -456,21 +467,20 @@ void Olsr::calculate_routes() {
     const std::uint32_t u = bfs_.queue[head];
     for (std::uint32_t k = bfs_.offsets[u]; k < bfs_.offsets[u + 1]; ++k) {
       const std::uint32_t v = bfs_.targets[k];
-      if (v == me || bfs_.distance[v] != 0) continue;
+      if (v == self_id_ || bfs_.distance[v] != 0) continue;
       bfs_.distance[v] = bfs_.distance[u] + 1;
       bfs_.next_hop[v] = bfs_.next_hop[u];
       bfs_.queue.push_back(v);
     }
   }
 
+  // Every reached node, in address order: sorted by dst for free.
   auto& routes = bfs_.routes;
   routes.clear();
-  for (const std::uint32_t v : bfs_.queue) {
-    routes.push_back({node_addrs_[v], node_addrs_[bfs_.next_hop[v]],
-                      bfs_.distance[v]});
+  for (const auto& [addr, v] : ids_by_addr_) {
+    if (bfs_.distance[v] == 0) continue;
+    routes.push_back({addr, node_addrs_[bfs_.next_hop[v]], bfs_.distance[v]});
   }
-  std::sort(routes.begin(), routes.end(),
-            [](const Route& a, const Route& b) { return a.dst < b.dst; });
 
   // Mirror into the host FIB with a two-pointer diff of the sorted
   // vectors: touch only routes whose next hop or metric actually changed
@@ -531,7 +541,7 @@ void Olsr::expire_state() {
   }
   if (changed) {
     routes_dirty_ = true;
-    select_mprs();
+    mark_mprs_dirty();
     schedule_route_calc();
   }
 }

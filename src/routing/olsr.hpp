@@ -5,8 +5,9 @@
 // MPR selectors, MPR-based default forwarding with duplicate suppression,
 // a topology set with validity times, and hop-count shortest-path (BFS)
 // route computation mirrored into the host FIB. Route recalculation is
-// skipped while its inputs provably cannot have changed (docs/PERFORMANCE.md
-// section 5).
+// skipped while its inputs provably cannot have changed, and MPR selection
+// runs only when the set is used, evaluated at the time of its last input
+// change (docs/PERFORMANCE.md section 5).
 //
 // SIPHoc integration: the RoutingHandler seam fires for every originated
 // HELLO and TC, and for every *first* reception of a message carrying an
@@ -55,8 +56,11 @@ class Olsr final : public Protocol {
   const RoutingStats& stats() const override { return stats_; }
 
   // Introspection for tests.
-  std::set<net::Address> symmetric_neighbors() const;
-  const std::set<net::Address>& mpr_set() const { return mprs_; }
+  std::set<net::Address> symmetric_neighbors() const {
+    return symmetric_neighbors(now());
+  }
+  /// Brings the MPR set up to date first (see mprs_dirty_).
+  const std::set<net::Address>& mpr_set();
   const std::set<net::Address>& mpr_selectors() const { return selectors_; }
   bool has_route(net::Address dst) const;
 
@@ -100,7 +104,15 @@ class Olsr final : public Protocol {
   void process_tc(const olsr::Message& m);
   void maybe_forward(const olsr::Message& m, net::Address prev_hop);
 
-  void select_mprs();
+  std::set<net::Address> symmetric_neighbors(TimePoint t) const;
+  /// Greedy MPR cover of two_hop_ over the links symmetric at `t`.
+  void select_mprs(TimePoint t);
+  /// Records an MPR input change at now(): every HELLO, and every
+  /// expire_state() pass that removed a link or an edge.
+  void mark_mprs_dirty() {
+    mprs_dirty_ = true;
+    mprs_time_ = now();
+  }
   void schedule_route_calc();
   void calculate_routes();
   void expire_state();
@@ -127,10 +139,21 @@ class Olsr final : public Protocol {
   std::unordered_map<net::Address, std::set<net::Address>> two_hop_;
   std::set<net::Address> mprs_;       // we relay through these
   std::set<net::Address> selectors_;  // these relay through us
-  // Interned node ids: node_addrs_[id] is the address, node_ids_ the
-  // reverse map. Topology edges, the route snapshot and the BFS use ids.
-  std::unordered_map<net::Address, std::uint32_t> node_ids_;
+  // The MPR set is a pure function of links_, two_hop_ and the time of
+  // evaluation, and the two maps change only in process_hello and
+  // expire_state, which both call mark_mprs_dirty(). So mpr_set()
+  // recomputes only when the set is used, evaluated at mprs_time_ (the last
+  // change), not now: a link whose symmetry lapsed since then must not
+  // change the set.
+  bool mprs_dirty_ = false;
+  TimePoint mprs_time_{};
+  // Interned node ids: node_addrs_[id] is the address, ids_by_addr_ the
+  // reverse map as (address, id) pairs sorted by address, so walking it
+  // visits ids in address order. Topology edges, the route snapshot and
+  // the BFS use ids; self_id_ is ours, interned by start().
+  std::vector<std::pair<net::Address, std::uint32_t>> ids_by_addr_;
   std::vector<net::Address> node_addrs_;
+  std::uint32_t self_id_ = 0;
   // Topology set in scan order (insertion order of surviving edges, which
   // decides next-hop ties). Entries dropped by a newer ANSN stay as
   // tombstones until expire_state() compacts the vector in order.
@@ -163,7 +186,7 @@ class Olsr final : public Protocol {
   TimePoint routes_deadline_{};
   // BFS scratch over node ids, reused across recalculations: CSR
   // adjacency (offsets/cursor/targets), per-node hop state, FIFO queue,
-  // and the sorted result.
+  // and the result in address order.
   struct Bfs {
     std::vector<std::uint32_t> offsets, cursor, targets;
     std::vector<int> distance;

@@ -214,24 +214,25 @@ TEST_F(OlsrNet, NudgeAdvertisementEmitsImmediately) {
 // Topology-set edge cases, pinned through hand-built TCs
 // ---------------------------------------------------------------------------
 
-// One daemon (n0) next to a raw host (n1) that speaks hand-built OLSR:
+// One daemon (n0) next to raw hosts (n1, n2) that speak hand-built OLSR:
 // HELLOs listing n0 keep n1 a symmetric neighbour, and TCs from a
 // fictitious originator X put edges into n0's topology set. n0's route to
 // a node X advertises (n0 -> n1 -> X -> dest, metric 3) is the window
 // into that set; X advertises n1 in every TC so that X itself stays
-// reachable.
+// reachable. n2 hears n0 but not n1; the MPR tests use it as a second
+// neighbour and capture n0's own HELLOs on it.
 class OlsrTcInput : public ::testing::Test {
  protected:
   void SetUp() override {
     sim_ = std::make_unique<sim::Simulator>(11);
     medium_ = std::make_unique<net::RadioMedium>(*sim_, net::RadioConfig{});
-    for (std::size_t i = 0; i < 2; ++i) {
+    const net::Position positions[] = {{0, 0}, {100, 0}, {0, 100}};
+    for (std::size_t i = 0; i < 3; ++i) {
       hosts_.push_back(std::make_unique<net::Host>(
           *sim_, static_cast<net::NodeId>(i), "n" + std::to_string(i)));
       hosts_.back()->attach_radio(
           *medium_, addr(i),
-          std::make_shared<net::StaticMobility>(
-              net::Position{static_cast<double>(i) * 100.0, 0}));
+          std::make_shared<net::StaticMobility>(positions[i]));
     }
     daemon_ = std::make_unique<Olsr>(*hosts_[0]);
     daemon_->start();
@@ -242,12 +243,14 @@ class OlsrTcInput : public ::testing::Test {
                    1};
   }
 
-  void hello() {
+  void hello() { hello_from(1, {{olsr::LinkCode::kSym, {addr(0)}}}); }
+
+  void hello_from(std::size_t host, std::vector<olsr::Hello::LinkGroup> links) {
     olsr::Message m;
     m.type = olsr::MsgType::kHello;
-    m.originator = addr(1);
-    m.hello.links.push_back({olsr::LinkCode::kSym, {addr(0)}});
-    send(std::move(m));
+    m.originator = addr(host);
+    m.hello.links = std::move(links);
+    send(std::move(m), host);
   }
 
   void tc(std::uint16_t ansn, std::vector<Address> advertised) {
@@ -261,13 +264,55 @@ class OlsrTcInput : public ::testing::Test {
     send(std::move(m));
   }
 
-  void send(olsr::Message m) {
+  void send(olsr::Message m, std::size_t host = 1) {
     m.msg_seq = ++seq_;
     olsr::Packet p;
     p.pkt_seq = seq_;
     p.messages.push_back(std::move(m));
-    hosts_[1]->send_broadcast(net::kOlsrPort, net::kOlsrPort,
-                              olsr::encode(p));
+    hosts_[host]->send_broadcast(net::kOlsrPort, net::kOlsrPort,
+                                 olsr::encode(p));
+  }
+
+  /// Records every HELLO n0 sends, as heard by n2, with its arrival time.
+  void capture_hellos() {
+    hosts_[2]->bind(net::kOlsrPort, [this](const net::Datagram& d,
+                                           const net::RxInfo&) {
+      const auto packet = olsr::decode(d.payload);
+      ASSERT_TRUE(packet.has_value());
+      for (const auto& m : packet->messages) {
+        if (m.type == olsr::MsgType::kHello && m.originator == addr(0)) {
+          hellos_.emplace_back(sim_->now(), m.hello);
+        }
+      }
+    });
+  }
+
+  /// The captured HELLO heard first after `t` / last before it.
+  olsr::Hello first_hello_after(TimePoint t) const {
+    const auto it = std::find_if(hellos_.begin(), hellos_.end(),
+                                 [t](const auto& e) { return e.first > t; });
+    if (it != hellos_.end()) return it->second;
+    ADD_FAILURE() << "no HELLO after " << format_time(t);
+    return {};
+  }
+  olsr::Hello last_hello_before(TimePoint t) const {
+    const auto it = std::find_if(hellos_.rbegin(), hellos_.rend(),
+                                 [t](const auto& e) { return e.first < t; });
+    if (it != hellos_.rend()) return it->second;
+    ADD_FAILURE() << "no HELLO before " << format_time(t);
+    return {};
+  }
+
+  /// The link code a HELLO gives `neighbor`, nullopt when it is not listed.
+  static std::optional<olsr::LinkCode> code_of(const olsr::Hello& hello,
+                                               Address neighbor) {
+    for (const auto& g : hello.links) {
+      if (std::find(g.neighbors.begin(), g.neighbors.end(), neighbor) !=
+          g.neighbors.end()) {
+        return g.code;
+      }
+    }
+    return std::nullopt;
   }
 
   /// Advances virtual time with a HELLO from n1 every 2 s, well inside
@@ -290,12 +335,16 @@ class OlsrTcInput : public ::testing::Test {
   static constexpr Address kX{net::kManetPrefix.value() + 50};
   static constexpr Address kA{net::kManetPrefix.value() + 60};
   static constexpr Address kB{net::kManetPrefix.value() + 70};
+  static constexpr Address kT{net::kManetPrefix.value() + 80};
+  const std::vector<olsr::Hello::LinkGroup> kListsN0AndT = {
+      {olsr::LinkCode::kSym, {addr(0), kT}}};
 
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::RadioMedium> medium_;
   std::vector<std::unique_ptr<net::Host>> hosts_;
   std::unique_ptr<Olsr> daemon_;
   std::uint16_t seq_ = 0;
+  std::vector<std::pair<TimePoint, olsr::Hello>> hellos_;
 };
 
 TEST_F(OlsrTcInput, OlderAnsnTcRefreshesAndLowersTheEdgesItNames) {
@@ -365,16 +414,73 @@ TEST_F(OlsrTcInput, ExpiredEdgeRevivesBeforeHousekeepingPurgesIt) {
   EXPECT_EQ(metric(kX), 2);
 }
 
+// In the MPR tests, n1 and n2 both reach the fictitious two-hop node T;
+// the greedy cover breaks the tie by address and picks n1. n0's HELLOs,
+// captured on n2, show which set it advertises.
+
+TEST_F(OlsrTcInput, HelloAfterHousekeepingDropsTheMprCarriesTheNewSet) {
+  capture_hellos();
+  const TimePoint t0 = sim_->now();
+  // n1 is last heard just after t0 + 2 s, so its link expires just after
+  // t0 + 8 s and the housekeeping tick at t0 + 8.5 s removes it. n2's
+  // HELLO at t0 + 6 s is the last message before that, and n1 is still
+  // symmetric then.
+  for (int k = 0; k < 4; ++k) {
+    if (k < 2) hello_from(1, kListsN0AndT);
+    hello_from(2, kListsN0AndT);
+    sim_->run_for(seconds(2));
+  }
+  const olsr::Hello before = last_hello_before(t0 + seconds(8));
+  ASSERT_EQ(code_of(before, addr(1)), olsr::LinkCode::kMpr);
+  ASSERT_EQ(code_of(before, addr(2)), olsr::LinkCode::kSym);
+  // No message arrives after the removal; n2 stays symmetric until t0 +
+  // 12 s, and n0 sends at least one HELLO before then.
+  sim_->run_for(seconds(3));
+  const olsr::Hello after = first_hello_after(t0 + milliseconds(8500));
+  EXPECT_EQ(code_of(after, addr(1)), std::nullopt);
+  EXPECT_EQ(code_of(after, addr(2)), olsr::LinkCode::kMpr);
+}
+
+TEST_F(OlsrTcInput, HelloCarriesTheMprSetOfTheLastInputChange) {
+  capture_hellos();
+  const TimePoint t0 = sim_->now();
+  // n1 lists n0 for the last time just after t0 + 2 s, so it is symmetric
+  // until just after t0 + 8 s; n2 until just after t0 + 12 s.
+  hello_from(1, kListsN0AndT);
+  hello_from(2, kListsN0AndT);
+  sim_->run_for(seconds(2));
+  hello_from(1, kListsN0AndT);
+  hello_from(2, kListsN0AndT);
+  sim_->run_for(seconds(4));
+  hello_from(2, kListsN0AndT);
+  sim_->run_for(seconds(1));
+  // The last input change, at t0 + 7 s: n1 still reaches T but no longer
+  // lists n0. n1 is symmetric for one more second, so the MPR set is {n1}.
+  ASSERT_EQ(code_of(last_hello_before(t0 + seconds(7)), addr(1)),
+            olsr::LinkCode::kMpr);
+  hello_from(1, {{olsr::LinkCode::kSym, {kT}}});
+  sim_->run_for(seconds(4));
+  // n1's symmetry lapses before n0's next HELLO, with no message or
+  // housekeeping removal in between. That HELLO still carries the set of
+  // t0 + 7 s: n2 is not promoted to MPR until an input changes.
+  const olsr::Hello after = first_hello_after(t0 + milliseconds(8100));
+  EXPECT_EQ(code_of(after, addr(1)), olsr::LinkCode::kAsym);
+  EXPECT_EQ(code_of(after, addr(2)), olsr::LinkCode::kSym);
+}
+
 // ---------------------------------------------------------------------------
-// Golden route tables under mobility
+// Golden route tables and MPR state under mobility
 // ---------------------------------------------------------------------------
 
-// Every host's FIB (prefix, length, next hop, metric, in FIB order),
-// sampled every 10 ms of virtual time for `length` and folded into one
-// FNV-1a hash. Mobility makes symmetric links lapse and TC edges expire
-// on their own clocks, between the messages that mutate OLSR state, so
-// the hash changes if a route recalculation is ever skipped or reordered.
-std::uint64_t route_table_trace(std::uint64_t seed, Duration length) {
+// Runs a 30-node mobile OLSR testbed for `length` and folds
+// `sample(bed, i, fold)` for every host i every 10 ms of virtual time into
+// one FNV-1a hash. Mobility makes symmetric links lapse and TC edges expire
+// on their own clocks, between the messages that mutate OLSR state, so the
+// hash changes if a computation is ever skipped, reordered or evaluated at
+// the wrong time.
+template <class Sample>
+std::uint64_t mobile_trace(std::uint64_t seed, Duration length,
+                           Sample sample) {
   scenario::Options o;
   o.seed = seed;
   o.nodes = 30;
@@ -397,18 +503,38 @@ std::uint64_t route_table_trace(std::uint64_t seed, Duration length) {
   const TimePoint end = bed.sim().now() + length;
   while (bed.sim().now() < end) {
     bed.sim().run_for(milliseconds(10));
-    for (std::size_t i = 0; i < bed.size(); ++i) {
-      const auto& routes = bed.host(i).routes();
-      fold(routes.size());
-      for (const auto& r : routes) {
-        fold(r.prefix.value());
-        fold(static_cast<std::uint64_t>(r.prefix_len));
-        fold(r.next_hop ? 0x100000000ull | r.next_hop->value() : 0);
-        fold(static_cast<std::uint64_t>(r.metric));
-      }
-    }
+    for (std::size_t i = 0; i < bed.size(); ++i) sample(bed, i, fold);
   }
   return h;
+}
+
+// Every host's FIB: prefix, length, next hop, metric, in FIB order.
+std::uint64_t route_table_trace(std::uint64_t seed, Duration length) {
+  return mobile_trace(seed, length, [](scenario::Testbed& bed, std::size_t i,
+                                       const auto& fold) {
+    const auto& routes = bed.host(i).routes();
+    fold(routes.size());
+    for (const auto& r : routes) {
+      fold(r.prefix.value());
+      fold(static_cast<std::uint64_t>(r.prefix_len));
+      fold(r.next_hop ? 0x100000000ull | r.next_hop->value() : 0);
+      fold(static_cast<std::uint64_t>(r.metric));
+    }
+  });
+}
+
+// Every daemon's MPR set and MPR selector set, in address order. The
+// selectors are the receiving side of the MPR link codes in neighbours'
+// HELLOs, so they pin what each node advertised as well as what it computed.
+std::uint64_t mpr_trace(std::uint64_t seed, Duration length) {
+  return mobile_trace(seed, length, [](scenario::Testbed& bed, std::size_t i,
+                                       const auto& fold) {
+    auto& olsr = dynamic_cast<Olsr&>(bed.stack(i).routing());
+    for (const auto* set : {&olsr.mpr_set(), &olsr.mpr_selectors()}) {
+      fold(set->size());
+      for (const Address a : *set) fold(a.value());
+    }
+  });
 }
 
 TEST(OlsrGolden, MobileRouteTablesMatchTheRecordedTrace) {
@@ -420,6 +546,20 @@ TEST(OlsrGolden, MobileRouteTablesMatchTheRecordedTrace) {
   };
   for (const auto& [seed, expected] : golden) {
     const std::uint64_t got = route_table_trace(seed, seconds(90));
+    EXPECT_EQ(got, expected) << "seed " << seed << ": got 0x" << std::hex
+                             << got;
+  }
+}
+
+TEST(OlsrGolden, MobileMprStateMatchesTheRecordedTrace) {
+  const std::pair<std::uint64_t, std::uint64_t> golden[] = {
+      {1, 0x4927997f0b6afa5full},
+      {2, 0x41e201ab96083bf1ull},
+      {3, 0x979fe8a8f8a80852ull},
+      {4, 0xdb82259701f033d4ull},
+  };
+  for (const auto& [seed, expected] : golden) {
+    const std::uint64_t got = mpr_trace(seed, seconds(90));
     EXPECT_EQ(got, expected) << "seed " << seed << ": got 0x" << std::hex
                              << got;
   }
