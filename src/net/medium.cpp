@@ -27,7 +27,13 @@ void merge_stats(MediumStats& into, const MediumStats& from) {
 }  // namespace
 
 RadioMedium::RadioMedium(sim::Simulator& sim, RadioConfig config)
-    : sim_(sim), config_(config) {}
+    : sim_(sim), config_(config) {
+  // See in_range() for why the band makes the squared test exact.
+  const double reject = config_.range * (1 + 1e-9);
+  const double accept = config_.range > 0 ? config_.range * (1 - 1e-9) : 0.0;
+  range_reject2_ = reject * reject;
+  range_accept2_ = accept * accept;
+}
 
 void RadioMedium::configure_lanes(std::function<std::uint32_t(NodeId)> lane_of) {
   sharded_ = true;
@@ -164,11 +170,23 @@ void RadioMedium::rebuild_index() {
       mobile_.push_back(i);
     }
   }
+  // Static senders broadcast from the same cell every time: gather and
+  // sort their fixed neighbourhoods once here, not per frame.
+  near_offsets_.assign(radios_.size() + 1, 0);
+  near_fixed_.clear();
+  for (std::uint32_t i = 0; i < radios_.size(); ++i) {
+    if (radios_[i].fixed_position) {
+      const auto begin = static_cast<std::ptrdiff_t>(near_fixed_.size());
+      collect_fixed(fixed_positions_[i], near_fixed_);
+      std::sort(near_fixed_.begin() + begin, near_fixed_.end());
+    }
+    near_offsets_[i + 1] = static_cast<std::uint32_t>(near_fixed_.size());
+  }
   index_dirty_ = false;
 }
 
-void RadioMedium::collect_candidates(Position from,
-                                     std::vector<std::uint32_t>& out) const {
+void RadioMedium::collect_fixed(Position from,
+                                std::vector<std::uint32_t>& out) const {
   const auto [cx, cy] = cell_coords(from);
   for (std::int32_t dx = -1; dx <= 1; ++dx) {
     for (std::int32_t dy = -1; dy <= 1; ++dy) {
@@ -178,10 +196,41 @@ void RadioMedium::collect_candidates(Position from,
       }
     }
   }
-  out.insert(out.end(), mobile_.begin(), mobile_.end());
+}
+
+std::span<const std::uint32_t> RadioMedium::broadcast_candidates(
+    std::uint32_t sender, Position from,
+    std::vector<std::uint32_t>& scratch) const {
   // Attachment order == the order the old brute-force scan visited radios
   // == the order per-receiver loss draws consume the RNG. Keep it.
-  std::sort(out.begin(), out.end());
+  if (radios_[sender].fixed_position) {
+    const std::span<const std::uint32_t> near(
+        near_fixed_.data() + near_offsets_[sender],
+        near_fixed_.data() + near_offsets_[sender + 1]);
+    if (mobile_.empty()) return near;
+    // Both lists are sorted and disjoint.
+    scratch.resize(near.size() + mobile_.size());
+    std::merge(near.begin(), near.end(), mobile_.begin(), mobile_.end(),
+               scratch.begin());
+    return scratch;
+  }
+  collect_fixed(from, scratch);
+  scratch.insert(scratch.end(), mobile_.begin(), mobile_.end());
+  std::sort(scratch.begin(), scratch.end());
+  return scratch;
+}
+
+bool RadioMedium::in_range(Position from, Position at) const {
+  // The same dx, dy as distance(from, at). The rounding error of d2 is a
+  // few ulp, far inside the 1e-9 band, so outside the band the sign of
+  // d - range is certain and hypot agrees with it. A bare
+  // d2 > range * range is not exact.
+  const double dx = from.x - at.x;
+  const double dy = from.y - at.y;
+  const double d2 = dx * dx + dy * dy;
+  if (d2 > range_reject2_) return false;
+  if (d2 < range_accept2_) return true;
+  return distance(from, at) <= config_.range;
 }
 
 TrafficClass RadioMedium::classify(const Datagram& d) {
@@ -241,19 +290,21 @@ void RadioMedium::transmit(const Frame& frame) {
   std::vector<std::uint32_t>& scratch =
       sharded_ ? lane_scratch_[lane] : scratch_;
   scratch.clear();
+  std::span<const std::uint32_t> candidates;
   if (frame.dst_mac == kBroadcastMac) {
-    collect_candidates(from, scratch);
+    const auto index = static_cast<std::uint32_t>(sender - radios_.data());
+    candidates = broadcast_candidates(index, from, scratch);
   } else if (const auto it = mac_index_.find(frame.dst_mac);
              it != mac_index_.end()) {
     scratch.push_back(it->second);
+    candidates = scratch;
   }
 
   // Injected loss is time-dependent (ramps); evaluate once per frame.
   const double fault_loss = fault_loss_probability(sim_.now());
 
   bool unicast_reached = frame.dst_mac == kBroadcastMac;
-  for (std::size_t k = 0; k < scratch.size(); ++k) {
-    const std::uint32_t i = scratch[k];
+  for (const std::uint32_t i : candidates) {
     const RadioAttachment& rx = radios_[i];
     if (rx.mac == frame.src_mac || !rx.enabled) continue;
     if (!jammed_.empty() && jammed_.contains(rx.mac)) continue;
@@ -265,7 +316,7 @@ void RadioMedium::transmit(const Frame& frame) {
                             ? fixed_positions_[i]
                             : (in_window ? mobile_position_cache_[i]
                                          : rx.position());
-    if (distance(from, at) > config_.range) continue;
+    if (!in_range(from, at)) continue;
     unicast_reached = true;
     // Fault draws happen in a fixed documented order (base loss, injected
     // loss, corrupt, duplicate, reorder), each gated on its probability

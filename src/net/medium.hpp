@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -181,19 +182,38 @@ class RadioMedium {
   void rebuild_index();
   static std::uint64_t pack_cell(std::int32_t cx, std::int32_t cy);
   std::pair<std::int32_t, std::int32_t> cell_coords(Position p) const;
-  /// Appends every radio index that could be within `config_.range` of
-  /// `from` (fixed: 3x3 grid cells; mobile: all) in attachment order --
-  /// iteration order determines RNG draw order, so it must match the
-  /// brute-force scan for run-for-run reproducibility.
-  void collect_candidates(Position from, std::vector<std::uint32_t>& out) const;
+  /// Appends the fixed radios in the 3x3 grid cells around `from`,
+  /// unsorted.
+  void collect_fixed(Position from, std::vector<std::uint32_t>& out) const;
+  /// Every radio index that could be within `config_.range` of radio
+  /// `sender` at `from` (fixed: 3x3 grid cells; mobile: all) in attachment
+  /// order -- iteration order determines RNG draw order, so it must match
+  /// the brute-force scan for run-for-run reproducibility. A fixed sender's
+  /// fixed neighbours come from the lists cached by rebuild_index(). The
+  /// result views either those lists or `scratch`.
+  std::span<const std::uint32_t> broadcast_candidates(
+      std::uint32_t sender, Position from,
+      std::vector<std::uint32_t>& scratch) const;
+  /// Exactly `distance(from, at) <= config_.range`, but calls hypot only
+  /// when the squared distance is within a 1e-9 relative band of the range.
+  bool in_range(Position from, Position at) const;
 
   sim::Simulator& sim_;
   RadioConfig config_;
+  // Squared-distance thresholds of in_range(): beyond reject, out of range;
+  // below accept, in range; in between, hypot decides.
+  double range_reject2_ = 0;
+  double range_accept2_ = 0;
   std::vector<RadioAttachment> radios_;
   std::vector<Position> fixed_positions_;  // parallel to radios_ (fixed only)
   std::unordered_map<NodeId, std::uint32_t> mac_index_;
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> grid_;
   std::vector<std::uint32_t> mobile_;  // indices of non-fixed radios
+  // Per fixed radio i, the fixed radios in its 3x3 cell neighbourhood in
+  // index order: near_fixed_[near_offsets_[i] .. near_offsets_[i + 1]).
+  // Rebuilt with the grid; empty for mobile radios.
+  std::vector<std::uint32_t> near_offsets_;
+  std::vector<std::uint32_t> near_fixed_;
   mutable std::vector<std::uint32_t> scratch_;  // reused per transmit
   bool index_dirty_ = true;
 

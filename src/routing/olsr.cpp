@@ -100,6 +100,7 @@ std::uint32_t Olsr::intern(net::Address a) {
   ids_by_addr_.insert(it, {a, id});
   node_addrs_.push_back(a);
   edges_by_originator_.emplace_back();
+  seen_seqs_.emplace_back();
   return id;
 }
 
@@ -211,10 +212,13 @@ void Olsr::on_packet(const net::Datagram& d, const net::RxInfo&) {
 
     // TC: duplicate-suppressed processing + MPR forwarding. Our own TCs
     // never get here (skipped above), so only received keys are recorded.
-    const std::uint64_t key =
-        (std::uint64_t{m.originator.value()} << 16) | m.msg_seq;
-    if (!duplicates_.insert(key).second) continue;
-    duplicate_fifo_.emplace_back(now() + seconds(30), key);
+    // process_tc() interns the originator first too, so ids are assigned
+    // in the same order.
+    const std::uint32_t origin = intern(m.originator);
+    auto& seen = seen_seqs_[origin];
+    if (std::find(seen.begin(), seen.end(), m.msg_seq) != seen.end()) continue;
+    seen.push_back(m.msg_seq);
+    duplicate_fifo_.push_back({now() + seconds(30), origin, m.msg_seq});
 
     process_tc(m);
     if (handler_ != nullptr) {
@@ -255,14 +259,18 @@ void Olsr::process_hello(const Message& m, net::Address from) {
   }
 
   // Two-hop neighborhood: their symmetric neighbors (excluding us).
-  std::set<net::Address> their_neighbors;
+  auto& their_neighbors = two_hop_[from];
+  their_neighbors.clear();
   for (const auto& g : m.hello.links) {
     if (g.code == LinkCode::kAsym) continue;
     for (const auto& n : g.neighbors) {
-      if (n != self()) their_neighbors.insert(n);
+      if (n != self()) their_neighbors.push_back(n);
     }
   }
-  two_hop_[from] = std::move(their_neighbors);
+  std::sort(their_neighbors.begin(), their_neighbors.end());
+  their_neighbors.erase(
+      std::unique(their_neighbors.begin(), their_neighbors.end()),
+      their_neighbors.end());
 
   mark_mprs_dirty();
   schedule_route_calc();
@@ -347,7 +355,8 @@ void Olsr::select_mprs(TimePoint t) {
     int count = 0;
     for (const auto& n : neighbors) {
       const auto it = two_hop_.find(n);
-      if (it != two_hop_.end() && it->second.contains(t)) {
+      if (it != two_hop_.end() &&
+          std::binary_search(it->second.begin(), it->second.end(), t)) {
         only = n;
         ++count;
       }
@@ -535,8 +544,10 @@ void Olsr::expire_state() {
           static_cast<std::uint32_t>(i));
     }
   }
-  while (!duplicate_fifo_.empty() && duplicate_fifo_.front().first <= t) {
-    duplicates_.erase(duplicate_fifo_.front().second);
+  while (!duplicate_fifo_.empty() && duplicate_fifo_.front().expires <= t) {
+    const SeenTc& old = duplicate_fifo_.front();
+    auto& seen = seen_seqs_[old.originator];
+    seen.erase(std::find(seen.begin(), seen.end(), old.msg_seq));
     duplicate_fifo_.pop_front();
   }
   if (changed) {

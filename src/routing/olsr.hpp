@@ -18,7 +18,6 @@
 #include <deque>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "net/host.hpp"
 #include "routing/olsr_codec.hpp"
@@ -135,8 +134,9 @@ class Olsr final : public Protocol {
   std::uint16_t ansn_ = 0;
 
   std::unordered_map<net::Address, LinkInfo> links_;
-  // neighbor -> its symmetric neighbors (from HELLO) = two-hop candidates.
-  std::unordered_map<net::Address, std::set<net::Address>> two_hop_;
+  // neighbor -> its symmetric neighbors (from HELLO) = two-hop candidates,
+  // sorted and unique; rebuilt in place by every HELLO.
+  std::unordered_map<net::Address, std::vector<net::Address>> two_hop_;
   std::set<net::Address> mprs_;       // we relay through these
   std::set<net::Address> selectors_;  // these relay through us
   // The MPR set is a pure function of links_, two_hop_ and the time of
@@ -160,10 +160,17 @@ class Olsr final : public Protocol {
   std::vector<TopologyEdge> topology_;
   // originator id -> slots in topology_ of its edges that are not erased.
   std::vector<std::vector<std::uint32_t>> edges_by_originator_;
-  // Received TC keys (originator << 16 | msg_seq). Every key expires 30 s
-  // after it was inserted, so the FIFO is also in expiry order.
-  std::unordered_set<std::uint64_t> duplicates_;
-  std::deque<std::pair<TimePoint, std::uint64_t>> duplicate_fifo_;
+  // Duplicate set (RFC 3626 3.4): the msg_seqs of received TCs, per
+  // interned originator, in arrival order. Every entry expires 30 s after
+  // it was inserted, so the FIFO of (expiry, originator id, msg_seq) is
+  // also in expiry order.
+  std::vector<std::vector<std::uint16_t>> seen_seqs_;
+  struct SeenTc {
+    TimePoint expires;
+    std::uint32_t originator;
+    std::uint16_t msg_seq;
+  };
+  std::deque<SeenTc> duplicate_fifo_;
 
   // Routes currently mirrored into the host FIB, sorted by dst; lets route
   // recalculation skip FIB writes for unchanged entries.

@@ -110,9 +110,15 @@ void ManetSlp::lookup(std::string type, std::string key, Duration timeout,
 }
 
 void ManetSlp::purge_expired() {
+  // Runs on every received piggyback and lookup; a scan before the
+  // earliest expiry would erase nothing.
+  if (now() < cache_next_expiry_) return;
   const std::size_t before = cache_.size();
+  cache_next_expiry_ = TimePoint::max();
   std::erase_if(cache_, [this](const auto& kv) {
-    return kv.second.expires <= now();
+    if (kv.second.expires <= now()) return true;
+    cache_next_expiry_ = std::min(cache_next_expiry_, kv.second.expires);
+    return false;
   });
   if (cache_.size() != before) {
     metrics_.cache_entries.set(static_cast<double>(cache_.size()));
@@ -251,6 +257,7 @@ void ManetSlp::absorb(const ServiceEntry& entry) {
     }
   }
   cache_[key] = entry;
+  cache_next_expiry_ = std::min(cache_next_expiry_, entry.expires);
   metrics_.entries_absorbed.add();
   metrics_.cache_entries.set(static_cast<double>(cache_.size()));
   log_.debug("learned ", entry.to_string());

@@ -137,6 +137,10 @@ class ManetSlp final : public Directory, public routing::RoutingHandler {
 
   std::map<Key, ServiceEntry> local_;  // authoritative registrations
   std::map<Key, ServiceEntry> cache_;  // learned from the network
+  // Lower bound on the earliest `expires` in cache_: purge_expired() has
+  // nothing to erase before it. absorb(), the only writer of cache_, lowers
+  // it on every write; a purge that scans recomputes it exactly.
+  TimePoint cache_next_expiry_ = TimePoint::max();
   std::vector<PendingLookup> pending_;
   std::uint32_t next_query_id_ = 1;
   std::uint32_t version_counter_ = 1;

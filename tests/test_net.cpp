@@ -217,9 +217,10 @@ TEST_F(TwoNodeFixture, LossyMediumDropsSometimes) {
 }
 
 // The spatial grid in RadioMedium is an exactness-preserving index: for any
-// mix of fixed and mobile nodes, disabled radios, and detachments, the
-// broadcast delivery set must equal what a brute-force all-pairs range scan
-// computes. Loss is disabled so delivery is deterministic.
+// mix of fixed and mobile nodes, disabled radios, detachments, and a fixed
+// radio swapped for another at a new position, the broadcast delivery set
+// must equal what a brute-force all-pairs range scan computes. Loss is
+// disabled so delivery is deterministic.
 TEST(RadioMediumTest, GridMatchesBruteForceDeliverySets) {
   sim::Simulator sim(3);
   RadioConfig config;
@@ -232,12 +233,21 @@ TEST(RadioMediumTest, GridMatchesBruteForceDeliverySets) {
   constexpr int kNodes = 40;
   constexpr int kDisabled = 5;
   constexpr int kDetached = 7;
+  constexpr int kSwappedOut = 8;  // fixed (even index)
+  constexpr int kSwappedIn = kNodes;  // attached in its place
   std::vector<std::unique_ptr<Host>> hosts;
   std::vector<std::shared_ptr<MobilityModel>> mobility;
-  std::vector<int> received(kNodes, 0);
+  std::vector<int> received(kNodes + 1, 0);
+  std::vector<bool> up(kNodes + 1, true);  // attached and enabled
+  const auto add_host = [&](int i, std::shared_ptr<MobilityModel> m) {
+    hosts.push_back(std::make_unique<Host>(sim, i, "n" + std::to_string(i)));
+    mobility.push_back(m);
+    hosts[i]->attach_radio(medium, Address(10, 0, 0, i + 1), m);
+    hosts[i]->bind(9000, [&received, i](const Datagram&, const RxInfo&) {
+      ++received[i];
+    });
+  };
   for (int i = 0; i < kNodes; ++i) {
-    hosts.push_back(
-        std::make_unique<Host>(sim, i, "n" + std::to_string(i)));
     std::shared_ptr<MobilityModel> m;
     if (i % 2 == 0) {
       m = std::make_shared<StaticMobility>(Position{coord(rng), coord(rng)});
@@ -248,52 +258,120 @@ TEST(RadioMediumTest, GridMatchesBruteForceDeliverySets) {
       m = std::make_shared<RandomWaypointMobility>(
           Position{coord(rng), coord(rng)}, rw, Rng(1000 + i));
     }
-    mobility.push_back(m);
-    hosts[i]->attach_radio(medium, Address(10, 0, 0, i + 1), m);
-    hosts[i]->bind(9000, [&received, i](const Datagram&, const RxInfo&) {
-      ++received[i];
-    });
+    add_host(i, m);
   }
+  up[kSwappedIn] = false;
   medium.set_enabled(kDisabled, false);
+  up[kDisabled] = false;
 
-  bool detached = false;
-  for (int round = 0; round < 20; ++round) {
-    if (round == 10) {
-      medium.detach(kDetached);
-      detached = true;
-    }
-    const int s = round % kNodes;
-    // Brute-force expectation from positions at transmit time (transmit is
-    // synchronous inside send_broadcast, so these are the exact positions
-    // the medium sees).
-    std::vector<Position> pos(kNodes);
-    for (int i = 0; i < kNodes; ++i) {
-      pos[i] = mobility[i]->position_at(sim.now());
-    }
-    const bool sender_up = s != kDisabled && !(detached && s == kDetached);
-    std::vector<int> expected(kNodes, 0);
-    if (sender_up) {
-      for (int i = 0; i < kNodes; ++i) {
-        if (i == s || i == kDisabled) continue;
-        if (detached && i == kDetached) continue;
+  // Broadcasts from `s` and compares every receiver with the brute-force
+  // expectation from positions at transmit time (transmit is synchronous
+  // inside send_broadcast, so these are the exact positions the medium
+  // sees).
+  const auto check_broadcast = [&](int s, const std::string& when) {
+    const int n = static_cast<int>(hosts.size());
+    std::vector<Position> pos(n);
+    for (int i = 0; i < n; ++i) pos[i] = mobility[i]->position_at(sim.now());
+    std::vector<int> expected(n, 0);
+    if (up[s]) {
+      for (int i = 0; i < n; ++i) {
+        if (i == s || !up[i]) continue;
         if (distance(pos[s], pos[i]) <= config.range) expected[i] = 1;
       }
     }
-    std::vector<int> before = received;
+    const std::vector<int> before = received;
     hosts[s]->send_broadcast(9000, 9000, to_bytes("probe"));
     sim.run_for(milliseconds(20));
-    for (int i = 0; i < kNodes; ++i) {
+    for (int i = 0; i < n; ++i) {
       EXPECT_EQ(received[i] - before[i], expected[i])
-          << "round " << round << " sender " << s << " receiver " << i;
+          << when << " sender " << s << " receiver " << i;
     }
+  };
+
+  for (int round = 0; round < 20; ++round) {
+    if (round == 10) {
+      medium.detach(kDetached);
+      up[kDetached] = false;
+    }
+    check_broadcast(round % kNodes, "round " + std::to_string(round));
     // Let the mobile half wander between rounds.
     sim.run_for(seconds(5));
   }
+
+  // Swap a fixed radio for a new fixed one with no transmission in
+  // between: the radio count is unchanged, but radio indices shift and
+  // the new radio's neighbours change, so every cached candidate list
+  // must be rebuilt. The new radio lands 30 m from the fixed radio
+  // farthest from the old one.
+  const auto fixed_pos = [&](int i) {
+    return mobility[i]->position_at(sim.now());
+  };
+  const Position old_pos = fixed_pos(kSwappedOut);
+  int anchor = 0;
+  for (int i = 0; i < kNodes; i += 2) {
+    if (distance(fixed_pos(i), old_pos) > distance(fixed_pos(anchor), old_pos))
+      anchor = i;
+  }
+  const Position new_pos{fixed_pos(anchor).x + 30, fixed_pos(anchor).y};
+  medium.detach(kSwappedOut);
+  up[kSwappedOut] = false;
+  add_host(kSwappedIn, std::make_shared<StaticMobility>(new_pos));
+  up[kSwappedIn] = true;
+  // Fixed senders next to both positions, then everyone.
+  int near_old = -1;
+  for (int i = 0; i < kNodes; i += 2) {
+    if (i == kSwappedOut || i == kDisabled) continue;
+    if (distance(fixed_pos(i), old_pos) <= config.range) near_old = i;
+  }
+  ASSERT_NE(near_old, -1) << "no fixed radio next to the swapped-out one";
+  const int swapped_in_before = received[kSwappedIn];
+  check_broadcast(near_old, "after the swap, next to the old position:");
+  check_broadcast(anchor, "after the swap, next to the new position:");
+  EXPECT_EQ(received[kSwappedIn], swapped_in_before + 1);
+  for (int s = 0; s <= kNodes; ++s) {
+    check_broadcast(s, "after the swap:");
+  }
+
   // Guard against a vacuous pass: the topology must produce deliveries.
   int total = 0;
-  for (int i = 0; i < kNodes; ++i) total += received[i];
+  for (int i = 0; i <= kNodes; ++i) total += received[i];
   EXPECT_GT(total, 0);
   EXPECT_GT(medium.stats().frames_delivered, 0u);
+}
+
+// The range test must agree with distance() to the last bit. Both pairs sit
+// within a few ulp of the default 120 m range, where comparing the squared
+// distance with range * range disagrees with hypot: for the first pair it
+// says out of range, for the second in range.
+TEST(RadioMediumTest, RangeBoundaryFollowsDistance) {
+  const RadioConfig config;
+  const std::pair<Position, Position> pairs[] = {
+      {{717.90568464900343, 755.7450347400968},
+       {619.16258599525827, 687.55558930858774}},
+      {{961.58616225712854, 199.76848365186396},
+       {1062.4048287275682, 264.84994407741254}},
+  };
+  ASSERT_LE(distance(pairs[0].first, pairs[0].second), config.range);
+  ASSERT_GT(distance(pairs[1].first, pairs[1].second), config.range);
+  for (const auto& [pa, pb] : pairs) {
+    sim::Simulator sim(1);
+    RadioMedium medium(sim, config);
+    Host a(sim, 0, "a"), b(sim, 1, "b");
+    a.attach_radio(medium, Address(10, 0, 0, 1),
+                   std::make_shared<StaticMobility>(pa));
+    b.attach_radio(medium, Address(10, 0, 0, 2),
+                   std::make_shared<StaticMobility>(pb));
+    int got_a = 0;
+    int got_b = 0;
+    a.bind(9000, [&](const Datagram&, const RxInfo&) { ++got_a; });
+    b.bind(9000, [&](const Datagram&, const RxInfo&) { ++got_b; });
+    a.send_broadcast(9000, 9000, to_bytes("a"));
+    b.send_broadcast(9000, 9000, to_bytes("b"));
+    sim.run_for(milliseconds(10));
+    const int expected = distance(pa, pb) <= config.range ? 1 : 0;
+    EXPECT_EQ(got_b, expected);
+    EXPECT_EQ(got_a, expected);
+  }
 }
 
 TEST_F(TwoNodeFixture, ForwardingDecrementsTtl) {

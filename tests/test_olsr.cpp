@@ -253,7 +253,8 @@ class OlsrTcInput : public ::testing::Test {
     send(std::move(m), host);
   }
 
-  void tc(std::uint16_t ansn, std::vector<Address> advertised) {
+  static olsr::Message tc_message(std::uint16_t ansn,
+                                  std::vector<Address> advertised) {
     olsr::Message m;
     m.type = olsr::MsgType::kTc;
     m.vtime_ms = 15000;
@@ -261,13 +262,22 @@ class OlsrTcInput : public ::testing::Test {
     m.ttl = 255;
     m.tc.ansn = ansn;
     m.tc.advertised = std::move(advertised);
-    send(std::move(m));
+    return m;
+  }
+
+  void tc(std::uint16_t ansn, std::vector<Address> advertised) {
+    send(tc_message(ansn, std::move(advertised)));
   }
 
   void send(olsr::Message m, std::size_t host = 1) {
     m.msg_seq = ++seq_;
+    send_as_is(std::move(m), host);
+  }
+
+  /// Sends `m` with the msg_seq it already carries.
+  void send_as_is(olsr::Message m, std::size_t host = 1) {
     olsr::Packet p;
-    p.pkt_seq = seq_;
+    p.pkt_seq = m.msg_seq;
     p.messages.push_back(std::move(m));
     hosts_[host]->send_broadcast(net::kOlsrPort, net::kOlsrPort,
                                  olsr::encode(p));
@@ -412,6 +422,52 @@ TEST_F(OlsrTcInput, ExpiredEdgeRevivesBeforeHousekeepingPurgesIt) {
   sim_->run_for(milliseconds(100));
   EXPECT_EQ(metric(kA), 3);
   EXPECT_EQ(metric(kX), 2);
+}
+
+TEST_F(OlsrTcInput, DuplicateTcIsIgnoredForThirtySecondsThenProcessedAgain) {
+  // n2 hears only n0 (141 m from n1), so it counts n0's TC forwards.
+  int forwarded = 0;
+  hosts_[2]->bind(net::kOlsrPort, [&](const net::Datagram& d,
+                                      const net::RxInfo&) {
+    const auto packet = olsr::decode(d.payload);
+    ASSERT_TRUE(packet.has_value());
+    for (const auto& m : packet->messages) {
+      if (m.type == olsr::MsgType::kTc && m.originator == kX) ++forwarded;
+    }
+  });
+  // n1 selects n0 as MPR, so n0 forwards the TCs n1 relays.
+  const auto run_mpr = [&](Duration d) {
+    const TimePoint end = sim_->now() + d;
+    while (sim_->now() < end) {
+      hello_from(1, {{olsr::LinkCode::kMpr, {addr(0)}}});
+      sim_->run_for(std::min<Duration>(seconds(2), end - sim_->now()));
+    }
+  };
+  const auto tc_500 = [&](std::uint16_t ansn, std::vector<Address> adv) {
+    olsr::Message m = tc_message(ansn, std::move(adv));
+    m.msg_seq = 500;
+    send_as_is(std::move(m));
+  };
+  run_mpr(seconds(1));
+  tc_500(10, {addr(1), kA});
+  run_mpr(seconds(1));
+  ASSERT_EQ(metric(kA), 3);
+  ASSERT_EQ(forwarded, 1);
+  // The same (originator, msg_seq) with other contents: a duplicate, so
+  // neither processed (the newer ANSN would drop A and add B) nor forwarded.
+  tc_500(11, {addr(1), kB});
+  run_mpr(seconds(1));
+  EXPECT_EQ(metric(kA), 3);
+  EXPECT_EQ(metric(kB), -1);
+  EXPECT_EQ(forwarded, 1);
+  // 30 s after the first copy, plus a housekeeping pass, the pair is
+  // forgotten: a restarted originator reusing its msg_seq is heard again.
+  run_mpr(seconds(29) + milliseconds(600));
+  ASSERT_EQ(metric(kA), -1);  // the edges expired after 15 s
+  tc_500(11, {addr(1), kB});
+  run_mpr(seconds(1));
+  EXPECT_EQ(metric(kB), 3);
+  EXPECT_EQ(forwarded, 2);
 }
 
 // In the MPR tests, n1 and n2 both reach the fictitious two-hop node T;

@@ -3,6 +3,8 @@
 // ablation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "routing/aodv.hpp"
 #include "routing/olsr.hpp"
 #include "slp/manet_slp.hpp"
@@ -270,6 +272,75 @@ TEST_P(ManetSlpTest, MalformedExtensionIsCountedAndNamesThePacket) {
   EXPECT_NE(warnings.front().find(expected), std::string::npos)
       << warnings.front();
 }
+
+// The cache purge that runs on every received piggyback and lookup must
+// drop an entry as soon as its `expires` passes -- also when a newer
+// version replaced the entry with an *earlier* expiry, and for the first
+// entry learned into an empty cache. Entries are fed straight into
+// on_incoming() on a lone node, so nothing else writes the cache.
+class ManetSlpPurgeTest : public ManetSlpTest {
+ protected:
+  static ServiceEntry advert(std::string key, std::uint32_t version,
+                             TimePoint expires) {
+    ServiceEntry e;
+    e.type = "sip-contact";
+    e.key = std::move(key);
+    e.value = "10.0.0.9:5060";
+    e.origin = Address(10, 0, 0, 9);
+    e.version = version;
+    e.expires = expires;
+    return e;
+  }
+
+  void receive(const ServiceEntry& e) {
+    ExtensionBlock block;
+    block.advertisements.push_back(e);
+    routing::PacketInfo info;
+    info.kind = GetParam() == Plugin::kAodv ? routing::PacketKind::kAodvRrep
+                                            : routing::PacketKind::kOlsrTc;
+    dirs_[0]->on_incoming(info, encode_extension(block, sim_->now()),
+                          e.origin);
+  }
+
+  bool cached(const std::string& key) const {
+    const auto contents = dirs_[0]->cache_contents();
+    return std::any_of(contents.begin(), contents.end(),
+                       [&](const ServiceEntry& e) { return e.key == key; });
+  }
+};
+
+TEST_P(ManetSlpPurgeTest, FirstLearnedEntryLeavesOnTimeAtTheNextLookup) {
+  build(1);
+  receive(advert("alice@x", 1, sim_->now() + seconds(5)));
+  ASSERT_TRUE(cached("alice@x"));
+  sim_->run_for(seconds(4));
+  dirs_[0]->lookup("sip-contact", "nobody@x", seconds(1), [](auto) {});
+  EXPECT_TRUE(cached("alice@x"));  // not expired yet
+  sim_->run_for(seconds(2));
+  dirs_[0]->lookup("sip-contact", "nobody@x", seconds(1), [](auto) {});
+  EXPECT_FALSE(cached("alice@x"));
+  EXPECT_EQ(dirs_[0]->cache_size(), 0u);
+}
+
+TEST_P(ManetSlpPurgeTest, NewerVersionWithEarlierExpiryLeavesOnTime) {
+  build(1);
+  receive(advert("alice@x", 1, sim_->now() + seconds(60)));
+  receive(advert("alice@x", 2, sim_->now() + seconds(5)));
+  ASSERT_TRUE(cached("alice@x"));
+  sim_->run_for(seconds(6));
+  // Any received piggyback purges: here one that teaches another entry.
+  receive(advert("bob@x", 1, sim_->now() + seconds(60)));
+  EXPECT_FALSE(cached("alice@x"));
+  EXPECT_TRUE(cached("bob@x"));
+  EXPECT_EQ(dirs_[0]->cache_size(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Plugins, ManetSlpPurgeTest,
+                         ::testing::Values(Plugin::kAodv, Plugin::kOlsr),
+                         [](const auto& info) {
+                           return info.param == Plugin::kAodv ? "Aodv"
+                                                              : "Olsr";
+                         });
 
 INSTANTIATE_TEST_SUITE_P(Plugins, ManetSlpTest,
                          ::testing::Values(Plugin::kAodv, Plugin::kOlsr),

@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""A/B wall-time comparison of two perfbench driver builds.
+
+    python3 tools/perf_ab.py BASE NEW --workload NAME --seed N \
+        [--sim-threads T] [--pairs K]
+
+BASE and NEW are source trees whose perfbench driver is already built
+(python3 perfbench/run.py builds it into <tree>/.bench_build/perfbench), or
+paths to perfbench_driver binaries. The two drivers run in K alternating
+pairs (BASE first in even pairs, NEW first in odd ones), one process each,
+so slow drift of a shared host hits both sides alike.
+
+Prints, for every end-to-end metric and for the child's user CPU time, the
+median of each side, the median of the per-pair ratios NEW / BASE and the
+number of pairs NEW won (lower is better for all of them). Exits 1 when the
+virtual outputs differ -- any digest of NEW differs from BASE's, or a run
+reports failed operations or failed checks -- or a driver exits non-zero,
+and 2 on usage errors (including a missing driver).
+"""
+
+import argparse
+import json
+import resource
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+DRIVER = Path(".bench_build") / "perfbench" / "perfbench_driver"
+METRICS = ("setup_s", "run_s", "peak_rss_mb", "op_p50_ms", "op_tail_ms")
+
+
+def driver_path(arg):
+    path = Path(arg).resolve()
+    if path.is_dir():
+        path = path / DRIVER
+    if not path.is_file():
+        print(f"perf_ab: no perfbench driver at {path}; build it with "
+              "python3 perfbench/run.py in that tree", file=sys.stderr)
+        sys.exit(2)
+    return path
+
+
+def run_once(driver, args):
+    """One driver process: its result JSON plus the child's user CPU."""
+    cmd = [str(driver), "--workload", args.workload, "--seed", str(args.seed),
+           "--trace", "0"]
+    if args.sim_threads is not None:
+        cmd += ["--sim-threads", str(args.sim_threads)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, cwd=driver.parent)
+    user_s = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - before
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        sys.exit(f"perf_ab: {driver} exited with {proc.returncode}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    metrics = dict(result["e2e"])
+    metrics["user_cpu_s"] = user_s
+    return result, metrics
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base")
+    parser.add_argument("new")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--sim-threads", type=int)
+    parser.add_argument("--pairs", type=int, default=8)
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    drivers = {"base": driver_path(args.base), "new": driver_path(args.new)}
+
+    samples = {"base": [], "new": []}
+    digests = {"base": set(), "new": set()}
+    problems = []
+    for k in range(args.pairs):
+        order = ("base", "new") if k % 2 == 0 else ("new", "base")
+        for side in order:
+            result, metrics = run_once(drivers[side], args)
+            samples[side].append(metrics)
+            digests[side].add(result["digest"])
+            if result["failed"] or not result["checks_ok"]:
+                problems.append(f"{side} pair {k}: {result['failed']} failed, "
+                                f"problems {result['problems']}")
+        print(f"pair {k + 1}/{args.pairs}: run_s base "
+              f"{samples['base'][-1]['run_s']:.4f} new "
+              f"{samples['new'][-1]['run_s']:.4f}", flush=True)
+
+    print(f"{'metric':<12} {'base':>12} {'new':>12} {'new/base':>9} won")
+    for name in (*METRICS, "user_cpu_s"):
+        base = [s[name] for s in samples["base"]]
+        new = [s[name] for s in samples["new"]]
+        ratios = [n / b for b, n in zip(base, new) if b > 0]
+        ratio = f"{statistics.median(ratios):9.3f}" if ratios else f"{'-':>9}"
+        won = sum(n < b for b, n in zip(base, new))
+        print(f"{name:<12} {statistics.median(base):12.4f} "
+              f"{statistics.median(new):12.4f} {ratio} {won}/{args.pairs}")
+
+    print(f"digests: base {', '.join(sorted(digests['base']))}; "
+          f"new {', '.join(sorted(digests['new']))}")
+    if digests["base"] != digests["new"] or len(digests["base"]) != 1:
+        problems.append("virtual outputs differ")
+    for p in problems:
+        print(f"CHECK FAILED: {p}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
