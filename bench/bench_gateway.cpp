@@ -27,8 +27,8 @@ struct Net {
   std::vector<std::unique_ptr<routing::Aodv>> daemons;
   std::vector<std::unique_ptr<slp::ManetSlp>> dirs;
 
-  explicit Net(std::size_t n, std::uint64_t seed) {
-    sim = std::make_unique<sim::Simulator>(seed);
+  Net(std::size_t n, std::uint64_t seed, SimContext& ctx) {
+    sim = std::make_unique<sim::Simulator>(seed, &ctx);
     medium = std::make_unique<net::RadioMedium>(*sim, net::RadioConfig{});
     internet = std::make_unique<net::Internet>(*sim, milliseconds(20));
     for (std::size_t i = 0; i < n; ++i) {
@@ -49,8 +49,8 @@ struct Net {
 };
 
 /// Time from uplink-up to attachment at the node `hops` away.
-double attach_time_siphoc(int hops, std::uint64_t seed) {
-  Net net(static_cast<std::size_t>(hops) + 1, seed);
+double attach_time_siphoc(int hops, std::uint64_t seed, SimContext& ctx) {
+  Net net(static_cast<std::size_t>(hops) + 1, seed, ctx);
   GatewayProvider gateway(*net.hosts[0], *net.dirs[0]);
   ConnectionProvider client(*net.hosts.back(), *net.dirs.back());
   net.sim->run_for(seconds(2));  // routing warm-up, no gateway yet
@@ -65,8 +65,8 @@ double attach_time_siphoc(int hops, std::uint64_t seed) {
   return client.internet_available() ? to_millis(net.sim->now() - t0) : -1;
 }
 
-double attach_time_fixed(int hops, std::uint64_t seed) {
-  Net net(static_cast<std::size_t>(hops) + 1, seed);
+double attach_time_fixed(int hops, std::uint64_t seed, SimContext& ctx) {
+  Net net(static_cast<std::size_t>(hops) + 1, seed, ctx);
   TunnelServer server(*net.hosts[0]);
   baselines::FixedGatewayConfig config;
   config.gateway = {net.hosts[0]->manet_address(), net::kTunnelPort};
@@ -85,8 +85,8 @@ double attach_time_fixed(int hops, std::uint64_t seed) {
 
 /// Failover: gateway at n0 dies at t0; a second gateway exists at the far
 /// end. Returns recovery time in ms, or -1 if never recovered (120 s cap).
-double failover_time_siphoc(std::uint64_t seed) {
-  Net net(4, seed);
+double failover_time_siphoc(std::uint64_t seed, SimContext& ctx) {
+  Net net(4, seed, ctx);
   GatewayProvider gw0(*net.hosts[0], *net.dirs[0]);
   GatewayProvider gw3(*net.hosts[3], *net.dirs[3]);
   ConnectionProvider client(*net.hosts[1], *net.dirs[1]);
@@ -115,8 +115,8 @@ double failover_time_siphoc(std::uint64_t seed) {
   return -1;
 }
 
-double failover_time_fixed(std::uint64_t seed) {
-  Net net(4, seed);
+double failover_time_fixed(std::uint64_t seed, SimContext& ctx) {
+  Net net(4, seed, ctx);
   TunnelServer server0(*net.hosts[0]);
   TunnelServer server3(*net.hosts[3]);
   baselines::FixedGatewayConfig config;
@@ -157,6 +157,9 @@ void print_cell(double ms) {
 }  // namespace
 
 int main() {
+  // Every run below reports into this one context, so the sidecar covers
+  // the whole table.
+  SimContext ctx;
   bench::print_header(
       "E4a: time to Internet attachment vs distance from gateway",
       "chain topology; uplink appears at t0; SIPHoc discovers the gateway\n"
@@ -167,9 +170,10 @@ int main() {
   std::printf("------+-----------------+--------------------\n");
   for (const int hops : {1, 2, 3, 4, 5}) {
     std::printf("%5d |", hops);
-    print_cell(attach_time_siphoc(hops, 600 + static_cast<std::uint64_t>(hops)));
+    const auto seed = 600 + static_cast<std::uint64_t>(hops);
+    print_cell(attach_time_siphoc(hops, seed, ctx));
     std::printf(" |");
-    print_cell(attach_time_fixed(hops, 600 + static_cast<std::uint64_t>(hops)));
+    print_cell(attach_time_fixed(hops, seed, ctx));
     std::printf("\n");
   }
 
@@ -179,8 +183,9 @@ int main() {
   std::printf("%22s | %18s\n", "SIPHoc", "fixed gateway [8]");
   std::printf("-----------------------+--------------------\n");
   for (int run = 0; run < 3; ++run) {
-    const double s = failover_time_siphoc(700 + static_cast<std::uint64_t>(run));
-    const double f = failover_time_fixed(700 + static_cast<std::uint64_t>(run));
+    const auto seed = 700 + static_cast<std::uint64_t>(run);
+    const double s = failover_time_siphoc(seed, ctx);
+    const double f = failover_time_fixed(seed, ctx);
     std::printf("      ");
     print_cell(s);
     std::printf("  |");
@@ -194,6 +199,6 @@ int main() {
       "still wait for its own AODV discovery. And only SIPHoc recovers from\n"
       "gateway loss -- the fixed-topology limitation the paper's related-\n"
       "work section calls out in [8].\n");
-  bench::write_metrics_sidecar("bench_gateway");
+  bench::write_metrics_sidecar("bench_gateway", ctx.metrics());
   return 0;
 }

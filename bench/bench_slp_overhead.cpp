@@ -39,8 +39,9 @@ struct Row {
   int lookups_ok = 0;
 };
 
-Row run(Mechanism mechanism, std::size_t nodes, std::uint64_t seed) {
-  sim::Simulator sim(seed);
+Row run(Mechanism mechanism, std::size_t nodes, std::uint64_t seed,
+        SimContext& ctx) {
+  sim::Simulator sim(seed, &ctx);
   net::RadioMedium medium(sim, net::RadioConfig{});
   const auto positions = net::grid_positions(nodes, 90);
 
@@ -122,6 +123,9 @@ Row run(Mechanism mechanism, std::size_t nodes, std::uint64_t seed) {
 }  // namespace
 
 int main() {
+  // Every run below reports into this one context, so the sidecar covers
+  // the whole table.
+  SimContext ctx;
   bench::print_header(
       "E2: service discovery overhead vs network size",
       "grid topology, AODV routing underneath all mechanisms; workload =\n"
@@ -137,7 +141,7 @@ int main() {
     for (const auto mechanism :
          {Mechanism::kManetSlp, Mechanism::kMulticastSlp,
           Mechanism::kPicoSip}) {
-      const Row row = run(mechanism, nodes, 100 + nodes);
+      const Row row = run(mechanism, nodes, 100 + nodes, ctx);
       std::printf("%6zu | %-22s | %10llu %12llu %10llu %5d/10\n", nodes,
                   name_of(mechanism),
                   static_cast<unsigned long long>(row.discovery_packets),
@@ -153,6 +157,6 @@ int main() {
       "bytes grow only with answered queries); multicast SLP floods per\n"
       "lookup; the proactive HELLO scheme floods every interval whether or\n"
       "not anyone looks anything up.\n");
-  bench::write_metrics_sidecar("bench_slp_overhead");
+  bench::write_metrics_sidecar("bench_slp_overhead", ctx.metrics());
   return 0;
 }

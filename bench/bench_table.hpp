@@ -39,17 +39,12 @@ inline void print_header(const std::string& title, const std::string& note) {
   std::printf("\n");
 }
 
-/// Clears the registry between bench cells so each run's sidecar reflects
-/// only that run. Invalidates previously bound instrument references --
-/// call only between simulator builds, never mid-run.
-inline void reset_metrics() { MetricsRegistry::instance().reset(); }
-
 /// Writes `<name>.metrics.json` (and `.csv`) next to the bench's stdout
 /// tables: the machine-readable version of the run, in the schema
 /// documented in docs/METRICS.md. Returns false (after a stderr note) if
 /// the files cannot be written.
-inline bool write_metrics_sidecar(const std::string& name) {
-  auto& registry = MetricsRegistry::instance();
+inline bool write_metrics_sidecar(const std::string& name,
+                                  const MetricsRegistry& registry) {
   const bool json_ok =
       MetricsRegistry::write_file(name + ".metrics.json", registry.to_json());
   const bool csv_ok =

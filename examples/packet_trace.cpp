@@ -96,9 +96,8 @@ int main() {
   for (const auto& entry : bed.stack(0).slp().snapshot()) {
     std::printf("  %s\n", entry.to_string().c_str());
   }
-  auto& registry = MetricsRegistry::instance();
   if (MetricsRegistry::write_file("packet_trace.metrics.json",
-                                  registry.to_json())) {
+                                  bed.ctx().metrics().to_json())) {
     std::printf("\nmetrics sidecar: packet_trace.metrics.json\n");
   }
   return result.established ? 0 : 1;

@@ -18,10 +18,6 @@ using namespace siphoc;
 int main(int argc, char** argv) {
   const int hops = argc > 1 ? std::max(1, std::atoi(argv[1])) : 3;
 
-  // Uncomment for a full middleware log:
-  // Logging::instance().use_stderr();
-  // Logging::instance().set_level(LogLevel::kInfo);
-
   scenario::Options options;
   options.nodes = static_cast<std::size_t>(hops) + 1;
   options.topology = scenario::Topology::kChain;
@@ -29,6 +25,9 @@ int main(int argc, char** argv) {
   options.routing = RoutingKind::kAodv;
 
   scenario::Testbed bed(options);
+  // Uncomment for a full middleware log:
+  // bed.ctx().log().use_stderr();
+  // bed.ctx().log().set_level(LogLevel::kInfo);
   bed.start();
   std::printf("== SIPHoc quickstart: %zu nodes, %d hop(s), AODV ==\n\n",
               bed.size(), hops);

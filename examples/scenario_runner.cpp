@@ -118,10 +118,10 @@ struct Runner {
   std::uint32_t regions = 0;   // `regions` script line; simulation content
   unsigned sim_threads = 1;    // --sim-threads; pure execution policy
   std::atomic<int> errors{0};
-  // Sweep-cell plumbing: narration goes to `out` (a memstream when the
-  // runner is one cell of a --sweep), the testbed simulates inside `ctx`,
-  // and the cell's seed is derive_seed(script seed, cell index) so cells
-  // stay decorrelated no matter what the script's `seed` line says.
+  // Run plumbing: narration goes to `out` (a memstream when the runner is
+  // one cell of a --sweep), every testbed simulates inside `ctx`, and a
+  // cell's seed is derive_seed(script seed, cell index) so cells stay
+  // decorrelated no matter what the script's `seed` line says.
   FILE* out = stdout;
   SimContext* ctx = nullptr;
   bool sweep = false;
@@ -675,9 +675,11 @@ int main(int argc, char** argv) {
   }
 
   if (sweep_seeds == 0) {
-    // Single run, exactly as before the sweep mode existed: simulate in the
-    // process-global context and export its registry.
+    // Single run: every testbed the script builds reports into one
+    // context, whose registry is exported.
+    SimContext context;
     Runner runner;
+    runner.ctx = &context;
     runner.sim_threads = sim_threads;
     if (have_faults) runner.fault_plan = &fault_plan;
     for (const auto& line : split(script, '\n')) {
@@ -685,7 +687,7 @@ int main(int argc, char** argv) {
     }
     runner.finish();
 
-    auto& registry = MetricsRegistry::instance();
+    const auto& registry = context.metrics();
     if (!metrics_path.empty()) {
       if (MetricsRegistry::write_file(metrics_path, registry.to_json())) {
         std::printf("metrics sidecar written to %s\n", metrics_path.c_str());

@@ -17,7 +17,9 @@ enum class MsgType : std::uint8_t {
 
 FloodingSipDirectory::FloodingSipDirectory(net::Host& host,
                                            FloodingSipConfig config)
-    : host_(host), config_(config), log_("floodsip", host.name()) {
+    : host_(host),
+      config_(config),
+      log_(host.sim().ctx().log(), "floodsip", host.name()) {
   host_.bind(kFloodingSipPort,
              [this](const net::Datagram& d, const net::RxInfo&) {
                on_packet(d);

@@ -7,7 +7,9 @@
 namespace siphoc::baselines {
 
 PicoSipDirectory::PicoSipDirectory(net::Host& host, PicoSipConfig config)
-    : host_(host), config_(config), log_("picosip", host.name()) {
+    : host_(host),
+      config_(config),
+      log_(host.sim().ctx().log(), "picosip", host.name()) {
   host_.bind(kPicoSipPort, [this](const net::Datagram& d, const net::RxInfo&) {
     on_packet(d);
   });

@@ -7,7 +7,7 @@ FixedGatewayClient::FixedGatewayClient(net::Host& host,
                                        std::function<void(bool)> on_change)
     : host_(host),
       config_(config),
-      log_("fixedgw", host.name()),
+      log_(host.sim().ctx().log(), "fixedgw", host.name()),
       on_change_(std::move(on_change)),
       tunnel_(host, [this](bool connected, net::Address) {
         if (on_change_) on_change_(connected || host_.has_wired());

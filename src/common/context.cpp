@@ -1,33 +1,6 @@
 #include "common/context.hpp"
 
-#include "common/logging.hpp"
-#include "common/metrics.hpp"
-
 namespace siphoc {
-
-namespace {
-thread_local SimContext* t_current = nullptr;
-}  // namespace
-
-SimContext::SimContext()
-    : owned_metrics_(std::make_unique<MetricsRegistry>()),
-      owned_log_(std::make_unique<Logging>()),
-      metrics_(owned_metrics_.get()),
-      log_(owned_log_.get()) {}
-
-SimContext::SimContext(GlobalTag)
-    : metrics_(&MetricsRegistry::instance()), log_(&Logging::instance()) {}
-
-SimContext::~SimContext() = default;
-
-SimContext& SimContext::global() {
-  static SimContext context{GlobalTag{}};
-  return context;
-}
-
-SimContext& SimContext::current() {
-  return t_current != nullptr ? *t_current : global();
-}
 
 std::uint64_t SimContext::derive_seed(std::uint64_t root,
                                       std::uint64_t index) {
@@ -43,27 +16,15 @@ std::uint64_t SimContext::derive_seed(std::uint64_t root,
 void SimContext::adopt_time_source(const void* owner,
                                    std::function<TimePoint()> now) {
   time_owner_ = owner;
-  metrics_->set_time_source(now);
-  log_->set_time_source(std::move(now));
+  metrics_.set_time_source(now);
+  log_.set_time_source(std::move(now));
 }
 
 void SimContext::release_time_source(const void* owner) {
   if (time_owner_ != owner) return;
   time_owner_ = nullptr;
-  metrics_->set_time_source(nullptr);
-  log_->set_time_source(nullptr);
+  metrics_.set_time_source(nullptr);
+  log_.set_time_source(nullptr);
 }
-
-SimContext::Bind::Bind(SimContext& context) : previous_(t_current) {
-  t_current = &context;
-}
-
-SimContext::Bind::~Bind() { t_current = previous_; }
-
-MetricsRegistry& MetricsRegistry::current() {
-  return SimContext::current().metrics();
-}
-
-Logging& Logging::current() { return SimContext::current().log(); }
 
 }  // namespace siphoc

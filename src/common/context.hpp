@@ -2,62 +2,35 @@
 // observes -- metrics registry, log sink, virtual-time source, root RNG
 // seed.
 //
-// Historically MetricsRegistry and Logging were process-wide singletons,
-// which meant two simulators could not coexist in one process (the second
-// one's counters landed in the first one's registry, and destroying either
-// clobbered the shared time source). SimContext makes the bundle a value:
-// each Simulator/Testbed owns (or borrows) one, and every layer that used
-// to call MetricsRegistry::instance() now reaches the registry through its
-// simulator's context.
-//
-// Two access paths coexist deliberately:
-//   * explicit: components that hold a Host/Simulator reach
-//     sim.ctx().metrics() and capture instrument references at
-//     construction. This is the primary path; it is what makes per-cell
-//     isolation deterministic rather than dependent on runtime state.
-//   * thread-bound: SimContext::current() resolves a thread_local pointer
-//     installed by SimContext::Bind (the Simulator binds its context for
-//     the duration of every run loop, the parallel cell runner binds it
-//     around a whole cell). Leaf code with no path to a simulator (Logger,
-//     ScopedSpan default) resolves through it and degrades to the global
-//     context when nothing is bound -- so existing single-simulation entry
-//     points compile and behave unchanged.
-//
-// The default context (SimContext::global()) wraps the legacy singletons,
-// keeping the old "one process, one registry" world intact for code that
-// never asks for isolation.
+// The context is a value: each Simulator owns one (or borrows the one it
+// was built with), each region lane of a sharded simulator gets its own,
+// and every component reaches it through the simulator it runs on --
+// host.sim().ctx().metrics() / .log() -- capturing instrument references
+// and its Logger at construction. That single path is what makes per-cell
+// and per-lane isolation deterministic: nothing resolves a registry or a
+// sink from process-wide or thread-bound state.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
+#include "common/logging.hpp"
+#include "common/metrics.hpp"
 #include "common/time.hpp"
 
 namespace siphoc {
 
-class Logging;
-class MetricsRegistry;
-
 class SimContext {
  public:
   /// A fresh, fully isolated context: its own registry and log sink.
-  SimContext();
-  ~SimContext();
+  SimContext() = default;
 
   SimContext(const SimContext&) = delete;
   SimContext& operator=(const SimContext&) = delete;
 
-  /// The default context wrapping the process-wide MetricsRegistry and
-  /// Logging singletons.
-  static SimContext& global();
-
-  /// The context bound to this thread (via Bind), or global() when none.
-  static SimContext& current();
-
-  MetricsRegistry& metrics() { return *metrics_; }
-  const MetricsRegistry& metrics() const { return *metrics_; }
-  Logging& log() { return *log_; }
+  MetricsRegistry& metrics() { return metrics_; }
+  const MetricsRegistry& metrics() const { return metrics_; }
+  Logging& log() { return log_; }
 
   /// Root seed of the simulation this context belongs to; the parallel
   /// cell runner records the derived per-cell seed here.
@@ -73,32 +46,13 @@ class SimContext {
   /// The simulator registers its virtual clock on both the registry and
   /// the log sink through this, tagged by owner, so a simulator being
   /// destroyed only clears the time source if no later simulator has taken
-  /// it over (the pre-context code clobbered it unconditionally).
+  /// it over.
   void adopt_time_source(const void* owner, std::function<TimePoint()> now);
   void release_time_source(const void* owner);
 
-  /// RAII thread-local binding: while alive, SimContext::current() on this
-  /// thread resolves to the bound context. Nests (restores the previous
-  /// binding on destruction).
-  class Bind {
-   public:
-    explicit Bind(SimContext& context);
-    ~Bind();
-    Bind(const Bind&) = delete;
-    Bind& operator=(const Bind&) = delete;
-
-   private:
-    SimContext* previous_;
-  };
-
  private:
-  struct GlobalTag {};
-  explicit SimContext(GlobalTag);
-
-  std::unique_ptr<MetricsRegistry> owned_metrics_;
-  std::unique_ptr<Logging> owned_log_;
-  MetricsRegistry* metrics_;
-  Logging* log_;
+  MetricsRegistry metrics_;
+  Logging log_;
   std::uint64_t root_seed_ = 0;
   const void* time_owner_ = nullptr;
 };

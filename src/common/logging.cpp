@@ -22,11 +22,6 @@ std::string_view to_string(LogLevel level) {
   return "?";
 }
 
-Logging& Logging::instance() {
-  static Logging g;
-  return g;
-}
-
 void Logging::emit(LogLevel level, std::string_view component,
                    std::string_view node, std::string message) {
   if (!sink_) return;

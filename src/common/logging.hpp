@@ -30,16 +30,10 @@ struct LogRecord {
 using LogSink = std::function<void(const LogRecord&)>;
 
 /// Logging configuration: sink, level, time source. One instance per
-/// SimContext; instance() is the default context's (process-wide) one and
-/// current() resolves the thread-bound context's (see common/context.hpp).
-/// The simulator sets the time source on its own context's instance.
+/// SimContext (see common/context.hpp); the simulator sets the time source
+/// on its own context's instance.
 class Logging {
  public:
-  Logging() = default;
-
-  static Logging& instance();
-  static Logging& current();
-
   void set_sink(LogSink sink) { sink_ = std::move(sink); }
   void set_level(LogLevel level) { level_ = level; }
   LogLevel level() const { return level_; }
@@ -62,20 +56,21 @@ class Logging {
   std::function<TimePoint()> now_;
 };
 
-/// Per-component logger handle; cheap to copy.
+/// Per-component logger handle bound to the Logging it emits into;
+/// cheap to copy.
 class Logger {
  public:
-  Logger() = default;
-  Logger(std::string component, std::string node = {})
-      : component_(std::move(component)), node_(std::move(node)) {}
+  Logger(Logging& logging, std::string component, std::string node = {})
+      : logging_(&logging),
+        component_(std::move(component)),
+        node_(std::move(node)) {}
 
   template <typename... Args>
   void log(LogLevel level, Args&&... args) const {
-    auto& g = Logging::current();
-    if (level < g.level()) return;
+    if (level < logging_->level()) return;
     std::ostringstream os;
     (os << ... << std::forward<Args>(args));
-    g.emit(level, component_, node_, std::move(os).str());
+    logging_->emit(level, component_, node_, std::move(os).str());
   }
 
   template <typename... Args>
@@ -100,6 +95,7 @@ class Logger {
   }
 
  private:
+  Logging* logging_;
   std::string component_;
   std::string node_;
 };

@@ -75,11 +75,6 @@ void Histogram::merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-MetricsRegistry& MetricsRegistry::instance() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 MetricsRegistry::SeriesKey MetricsRegistry::admit(std::string_view name,
                                                   std::string_view node,
                                                   std::string_view component) {
@@ -154,10 +149,7 @@ void MetricsRegistry::set_span_capacity(std::size_t capacity) {
   }
   span_ring_ = std::move(linear);
   span_capacity_ = capacity;
-  span_head_ = 0;
-  if (span_ring_.size() == span_capacity_ && span_capacity_ > 0) {
-    span_head_ = 0;  // ring is exactly full; next write overwrites the oldest
-  }
+  span_head_ = 0;  // oldest-first: a full ring overwrites index 0 next
 }
 
 std::vector<SpanRecord> MetricsRegistry::spans() const {
@@ -326,16 +318,6 @@ bool MetricsRegistry::write_file(const std::string& path,
     return false;
   }
   return true;
-}
-
-void MetricsRegistry::reset() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  cardinality_.clear();
-  span_ring_.clear();
-  span_head_ = 0;
-  spans_recorded_ = 0;
 }
 
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {

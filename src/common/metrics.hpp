@@ -8,9 +8,9 @@
 // (t_start, t_end, component, node, name) spans for latency-shaped
 // quantities (route discovery, SLP resolution, INVITE transactions).
 //
-// Registries are per-simulation: each SimContext owns one, and instance()
-// is merely the default context's registry (see common/context.hpp and
-// docs/METRICS.md "Per-simulation registries"). A registry instance is
+// Registries are per-simulation: each SimContext owns one (see
+// common/context.hpp and docs/METRICS.md "Per-simulation registries"),
+// and a component reaches it only through its simulator. A registry is
 // single-threaded by design -- parallel experiment cells each get their
 // own and are merged afterwards via merge_from(), in submission order, so
 // merged sidecars are independent of thread count.
@@ -98,13 +98,6 @@ class MetricsRegistry {
  public:
   MetricsRegistry() = default;
 
-  /// The process-default registry (the one SimContext::global() wraps).
-  static MetricsRegistry& instance();
-
-  /// The registry of the thread-bound SimContext; instance() when no
-  /// context is bound. Leaf code with no path to a simulator uses this.
-  static MetricsRegistry& current();
-
   /// The simulator registers itself here (same hook shape as Logging) so
   /// span timestamps and export headers carry virtual time.
   void set_time_source(std::function<TimePoint()> now) {
@@ -113,9 +106,9 @@ class MetricsRegistry {
   TimePoint now() const { return now_ ? now_() : TimePoint{}; }
 
   // --- instruments --------------------------------------------------------
-  // References stay valid until reset(). Creating a series beyond the
-  // per-name label cardinality cap returns the shared overflow series
-  // (node/component "(overflow)") instead of growing without bound.
+  // References stay valid for the registry's lifetime. Creating a series
+  // beyond the per-name label cardinality cap returns the shared overflow
+  // series (node/component "(overflow)") instead of growing without bound.
   Counter& counter(std::string_view name, std::string_view node = {},
                    std::string_view component = {});
   Gauge& gauge(std::string_view name, std::string_view node = {},
@@ -155,10 +148,6 @@ class MetricsRegistry {
   /// Writes `contents` to `path`; false (with a stderr note) on failure.
   static bool write_file(const std::string& path, const std::string& contents);
 
-  /// Drops every series and span. Caps and the time source survive --
-  /// benches call this between runs, the simulator outlives none of it.
-  void reset();
-
   /// Folds another registry into this one: counters and histograms
   /// accumulate, gauges take the other side's value (last write wins, like
   /// a sequential run would), spans append through the ring. The parallel
@@ -193,26 +182,24 @@ class MetricsRegistry {
 };
 
 /// RAII span over virtual time: records [construction, destruction] on the
-/// given registry, defaulting to the thread-bound context's registry.
+/// given registry.
 class ScopedSpan {
  public:
-  ScopedSpan(std::string name, std::string component, std::string node = {},
-             MetricsRegistry* registry = nullptr)
-      : registry_(registry != nullptr ? registry
-                                      : &MetricsRegistry::current()),
+  ScopedSpan(MetricsRegistry& registry, std::string name,
+             std::string component, std::string node = {})
+      : registry_(registry),
         name_(std::move(name)),
         component_(std::move(component)),
         node_(std::move(node)),
-        start_(registry_->now()) {}
+        start_(registry_.now()) {}
   ~ScopedSpan() {
-    registry_->record_span(name_, component_, node_, start_,
-                           registry_->now());
+    registry_.record_span(name_, component_, node_, start_, registry_.now());
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
-  MetricsRegistry* registry_;
+  MetricsRegistry& registry_;
   std::string name_;
   std::string component_;
   std::string node_;

@@ -9,7 +9,7 @@ Host::Host(sim::Simulator& sim, NodeId id, std::string name)
       id_(id),
       name_(std::move(name)),
       rng_(sim.rng().fork()),
-      log_("host", name_) {}
+      log_(sim.ctx().log(), "host", name_) {}
 
 void Host::attach_radio(RadioMedium& medium, Address address,
                         std::shared_ptr<MobilityModel> mobility) {

@@ -23,7 +23,9 @@ Aodv::Metrics::Metrics(MetricsRegistry& r, std::string_view node)
                                kLatencyBucketsMs, node, "aodv")) {}
 
 Aodv::Aodv(net::Host& host, AodvConfig config)
-    : host_(host), config_(config), log_("aodv", host.name()),
+    : host_(host),
+      config_(config),
+      log_(host.sim().ctx().log(), "aodv", host.name()),
       metrics_(host.sim().ctx().metrics(), host.name()) {
   table_.set_callbacks([this](const AodvRoute& r) { install_fib(r); },
                        [this](const AodvRoute& r) { remove_fib(r); });

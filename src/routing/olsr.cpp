@@ -18,7 +18,9 @@ Olsr::Metrics::Metrics(MetricsRegistry& r, std::string_view node)
       tc_forwarded(r.counter("olsr.tc_forwarded_total", node, "olsr")) {}
 
 Olsr::Olsr(net::Host& host, OlsrConfig config)
-    : host_(host), config_(config), log_("olsr", host.name()),
+    : host_(host),
+      config_(config),
+      log_(host.sim().ctx().log(), "olsr", host.name()),
       metrics_(host.sim().ctx().metrics(), host.name()) {}
 
 Olsr::~Olsr() {

@@ -5,7 +5,7 @@ namespace siphoc::rtp {
 Session::Session(net::Host& host, SessionConfig config)
     : host_(host),
       config_(config),
-      log_("rtp", host.name()),
+      log_(host.sim().ctx().log(), "rtp", host.name()),
       source_(config.voice, host.rng().fork()),
       jitter_(config.playout_delay),
       ssrc_(host.rng().uniform_int(1, 0xffffffff)),

@@ -25,10 +25,7 @@ std::vector<std::unique_ptr<SimContext>> run_cells(std::vector<Cell> cells,
   const std::size_t n = cells.size();
   // No more threads than cells; the pool treats 0 as 1 (inline).
   sim::WorkerPool pool(static_cast<unsigned>(std::min<std::size_t>(threads, n)));
-  pool.run(n, [&](std::size_t i) {
-    SimContext::Bind bind(*contexts[i]);
-    cells[i].run(*contexts[i]);
-  });
+  pool.run(n, [&](std::size_t i) { cells[i].run(*contexts[i]); });
   return contexts;
 }
 

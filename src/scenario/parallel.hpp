@@ -13,8 +13,8 @@
 // Determinism contract:
 //   * cell k's seed is SimContext::derive_seed(root, k) -- a pure function
 //     of the sweep root and the cell index, never of scheduling;
-//   * each worker binds the cell's context (SimContext::Bind) for the whole
-//     cell body, so even leaf code resolving via current() stays isolated;
+//   * each cell body receives its own context and builds its simulation
+//     in it, so everything the cell logs and counts stays isolated;
 //   * contexts are returned in submission order and merge_from() is folded
 //     left-to-right over that order.
 // See docs/PERFORMANCE.md "Parallel harness".
@@ -30,10 +30,9 @@
 namespace siphoc::scenario {
 
 /// One independent unit of work: the runner creates a fresh SimContext with
-/// root_seed = `seed`, binds it on the executing thread, and invokes `run`.
-/// The body must reach all process services through the given context (or
-/// through current(), which resolves to it) and must not touch the global
-/// registry or any state shared with other cells.
+/// root_seed = `seed` and invokes `run` with it. The body must build its
+/// simulation in the given context (Options::context) and must not touch
+/// any state shared with other cells.
 struct Cell {
   std::uint64_t seed = 0;
   std::function<void(SimContext&)> run;

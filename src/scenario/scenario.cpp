@@ -21,10 +21,6 @@ std::uint32_t Testbed::lane_of_phone(const voip::SoftPhone& phone) const {
 
 Testbed::Testbed(Options options) : options_(std::move(options)) {
   sim_ = std::make_unique<sim::Simulator>(options_.seed, options_.context);
-  // Bind for the rest of construction: component constructors register
-  // metrics/loggers and must land in this testbed's context.
-  SimContext::Bind bind(sim_->ctx());
-
   // Fewer than two regions (after clamping to the node count) is the
   // classic sequential kernel.
   const auto regions = static_cast<std::uint32_t>(std::min<std::size_t>(
@@ -97,7 +93,6 @@ Testbed::Testbed(Options options) : options_(std::move(options)) {
     // lane stream, its timers/events queue on the lane, its instruments
     // register in the lane's metrics registry.
     sim::Simulator::LaneScope lane_scope(*sim_, node_lane(i));
-    SimContext::Bind lane_bind(sim_->ctx());
     auto host = std::make_unique<net::Host>(
         *sim_, static_cast<net::NodeId>(i), "n" + std::to_string(i));
     std::shared_ptr<net::MobilityModel> mobility;
@@ -116,7 +111,6 @@ Testbed::Testbed(Options options) : options_(std::move(options)) {
 }
 
 Testbed::~Testbed() {
-  SimContext::Bind bind(sim_->ctx());
   // Stop middleware before hosts/medium go away (crashed slots are null).
   for (auto& stack : stacks_) {
     if (stack) stack->stop();
@@ -129,11 +123,9 @@ Testbed::~Testbed() {
 void Testbed::start() {
   if (started_) return;
   started_ = true;
-  SimContext::Bind bind(sim_->ctx());
   for (std::size_t i = 0; i < stacks_.size(); ++i) {
     if (!stacks_[i]) continue;
     sim::Simulator::LaneScope lane_scope(*sim_, node_lane(i));
-    SimContext::Bind lane_bind(sim_->ctx());
     stacks_[i]->start();
   }
 }
@@ -150,7 +142,6 @@ voip::SoftPhone& Testbed::add_phone(std::size_t node,
 voip::SoftPhone& Testbed::add_phone(std::size_t node,
                                     voip::SoftPhoneConfig config) {
   sim::Simulator::LaneScope lane_scope(*sim_, node_lane(node));
-  SimContext::Bind bind(sim_->ctx());
   phones_.push_back(
       std::make_unique<voip::SoftPhone>(host(node), std::move(config)));
   phone_nodes_.push_back(node);
@@ -160,7 +151,6 @@ voip::SoftPhone& Testbed::add_phone(std::size_t node,
 void Testbed::crash_node(std::size_t i) {
   if (!node_alive(i)) return;
   sim::Simulator::LaneScope lane_scope(*sim_, node_lane(i));
-  SimContext::Bind bind(sim_->ctx());
   // Radio off before teardown: the dying stack's parting messages (tunnel
   // Disconnects, routing errors) must vanish, like a battery being pulled.
   medium_->set_enabled(static_cast<net::NodeId>(i), false);
@@ -177,7 +167,6 @@ void Testbed::restart_node(std::size_t i) {
   // fresh stack's timers and instruments must live with its region even
   // when the restart is driven from a scenario-lane chaos event.
   sim::Simulator::LaneScope lane_scope(*sim_, node_lane(i));
-  SimContext::Bind bind(sim_->ctx());
   medium_->set_enabled(static_cast<net::NodeId>(i), true);
   stacks_[i] = std::make_unique<NodeStack>(*hosts_[i], internet_.get(),
                                            node_stack_config());
@@ -192,7 +181,6 @@ bool Testbed::register_and_wait(voip::SoftPhone& phone, Duration max_wait) {
     bool done = false;
     bool ok = false;
   };
-  SimContext::Bind bind(sim_->ctx());
   auto outcome = std::make_shared<Outcome>();
   // Wrap (not replace) the application's handlers; restore them after.
   const voip::SoftPhoneEvents saved = phone.events();
@@ -226,7 +214,6 @@ Testbed::CallResult Testbed::call_and_wait(voip::SoftPhone& caller,
     bool established = false;
     int status = 0;
   };
-  SimContext::Bind bind(sim_->ctx());
   auto outcome = std::make_shared<Outcome>();
   const voip::SoftPhoneEvents saved = caller.events();
   voip::SoftPhoneEvents events = saved;
@@ -262,7 +249,6 @@ Testbed::CallResult Testbed::call_and_wait(voip::SoftPhone& caller,
 }
 
 void Testbed::make_gateway(std::size_t node) {
-  SimContext::Bind bind(sim_->ctx());
   const net::Address wired{net::kInternetPrefix.value() + 100 +
                            static_cast<std::uint32_t>(node)};
   host(node).attach_wired(*internet_, wired);
@@ -277,7 +263,6 @@ sip::Registrar& Testbed::add_provider(const std::string& domain,
 
 sip::Registrar& Testbed::add_provider(const std::string& domain,
                                       const ProviderOptions& options) {
-  SimContext::Bind bind(sim_->ctx());
   net::Host& server = add_internet_host("provider-" + domain);
   sip::RegistrarConfig config;
   config.domain = domain;
@@ -336,7 +321,6 @@ void Testbed::crash_ring_node(const std::string& domain, std::size_t index) {
   }
   sip::P2pResolver* victim = ring_it->second[index];
   if (victim == nullptr) return;  // already down
-  SimContext::Bind bind(sim_->ctx());
   // Destroying the resolver unbinds its port and cancels its timers and
   // in-flight lookups: from the ring's point of view the node just went
   // silent. Peers discover it through unanswered stabilization probes.
@@ -355,7 +339,6 @@ void Testbed::restart_ring_node(const std::string& domain,
     return;
   }
   if (ring_it->second[index] != nullptr) return;  // already up
-  SimContext::Bind bind(sim_->ctx());
   net::Host* ring_host = p2p_ring_hosts_.at(domain).at(index);
   p2p_resolvers_.push_back(std::make_unique<sip::P2pResolver>(*ring_host));
   sip::P2pResolver* node = p2p_resolvers_.back().get();
@@ -394,7 +377,6 @@ std::optional<net::Endpoint> Testbed::provider_outbound_proxy(
 }
 
 net::Host& Testbed::add_internet_host(const std::string& name) {
-  SimContext::Bind bind(sim_->ctx());
   const net::Address address{net::kInternetPrefix.value() +
                              next_internet_octet_++};
   auto host = std::make_unique<net::Host>(

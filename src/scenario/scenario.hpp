@@ -25,9 +25,9 @@ enum class Topology { kChain, kGrid, kRandomArea };
 
 struct Options {
   std::uint64_t seed = 42;
-  /// Context the testbed's simulation reports into; null means the global
-  /// default context (legacy singleton behavior). The parallel cell runner
-  /// gives every cell its own.
+  /// Context the testbed's simulation reports into, for callers that read
+  /// it after the testbed is gone; null means the simulator owns a fresh
+  /// one. The parallel cell runner gives every cell its own.
   SimContext* context = nullptr;
   std::size_t nodes = 2;
   Topology topology = Topology::kChain;

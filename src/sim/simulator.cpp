@@ -40,7 +40,9 @@ constexpr std::uint32_t kNoLane = 0xffffffffu;
 }  // namespace
 
 Simulator::Simulator(std::uint64_t seed, SimContext* context)
-    : ctx_(context != nullptr ? context : &SimContext::global()), seed_(seed) {
+    : owned_ctx_(context != nullptr ? nullptr : std::make_unique<SimContext>()),
+      ctx_(context != nullptr ? context : owned_ctx_.get()),
+      seed_(seed) {
   lanes_.emplace_back(seed);
   ctx_->set_root_seed(seed);
   ctx_->adopt_time_source(this, [this] { return lanes_[0].now; });
@@ -174,9 +176,6 @@ void Simulator::run_until(TimePoint until) {
     run_until_sharded(until);
     return;
   }
-  // Bind our context for the duration of the run loop so leaf code
-  // (Logger, default ScopedSpan) resolving via current() lands here.
-  SimContext::Bind bind(*ctx_);
   while (step(until)) {
   }
   if (lanes_[0].now < until) lanes_[0].now = until;
@@ -187,7 +186,6 @@ void Simulator::run_to_completion() {
     run_until_sharded(TimePoint::max());
     return;
   }
-  SimContext::Bind bind(*ctx_);
   while (step(TimePoint::max())) {
   }
 }
@@ -211,7 +209,6 @@ void Simulator::exec_top(std::uint32_t lane_index) {
   lane.pool->release(top.slot);
   ++lane.events_executed;
   ExecGuard guard(this, lane_index, /*in_window=*/false);
-  SimContext::Bind bind(lane_context(lane_index));
   fn();
 }
 
@@ -219,7 +216,6 @@ void Simulator::run_lane_window(std::uint32_t lane_index, TimePoint wend,
                                 TimePoint until) {
   Lane& lane = lanes_[lane_index];
   ExecGuard guard(this, lane_index, /*in_window=*/true);
-  SimContext::Bind bind(lane_context(lane_index));
   for (;;) {
     prune_cancelled(lane);
     if (lane.queue.empty()) return;
@@ -245,7 +241,6 @@ void Simulator::drain_outboxes() {
 }
 
 void Simulator::run_until_sharded(TimePoint until) {
-  SimContext::Bind bind(*ctx_);
   // Barrier-equivalent state before the first window: caches the medium
   // reads in-window must be fresh before any lane runs concurrently.
   if (epoch_hook_) epoch_hook_();

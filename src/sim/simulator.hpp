@@ -121,9 +121,8 @@ class EventHandle {
 class Simulator {
  public:
   /// `context` is the SimContext this simulation reports into (metrics,
-  /// logging, time source); null means the process-default global context,
-  /// which preserves the historical singleton behavior for single-sim
-  /// entry points. The simulator does not own the context.
+  /// logging, time source), borrowed for callers that read it after the
+  /// simulator is gone; null means the simulator owns a fresh one.
   explicit Simulator(std::uint64_t seed = 1, SimContext* context = nullptr);
   ~Simulator();
 
@@ -285,6 +284,7 @@ class Simulator {
     return lane.ctx ? *lane.ctx : *ctx_;
   }
 
+  std::unique_ptr<SimContext> owned_ctx_;  // set when none was passed in
   SimContext* ctx_;
   std::uint64_t seed_;
   std::vector<Lane> lanes_;  // lane 0 always exists

@@ -5,7 +5,7 @@ namespace siphoc::sip {
 OutboundProxy::OutboundProxy(net::Host& host, OutboundProxyConfig config)
     : host_(host),
       config_(config),
-      log_("obproxy", host.name()),
+      log_(host.sim().ctx().log(), "obproxy", host.name()),
       transport_(host, config_.port) {
   transport_.set_handler([this](Message m, net::Endpoint from) {
     on_message(std::move(m), from);

@@ -45,7 +45,7 @@ std::vector<std::string_view> fields(std::string_view line) {
 P2pResolver::P2pResolver(net::Host& host, P2pConfig config)
     : host_(host),
       config_(config),
-      log_("p2p", host.name()),
+      log_(host.sim().ctx().log(), "p2p", host.name()),
       node_id_(id_of({host.wired_address(), config.port})) {
   host_.bind(config_.port, [this](const net::Datagram& d, const net::RxInfo&) {
     on_datagram(d);

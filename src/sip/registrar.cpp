@@ -25,7 +25,7 @@ constexpr double kLookupNsBuckets[] = {50,   100,   250,   500,   1000,
 Registrar::Registrar(net::Host& host, RegistrarConfig config)
     : host_(host),
       config_(std::move(config)),
-      log_("registrar", config_.domain),
+      log_(host.sim().ctx().log(), "registrar", config_.domain),
       transport_(host, config_.port) {
   if (config_.store_shards > 0) {
     ShardedBindingStore::Config sc;

@@ -3,7 +3,9 @@
 namespace siphoc::sip {
 
 Transport::Transport(net::Host& host, std::uint16_t port)
-    : host_(host), port_(port), log_("sip", host.name()) {
+    : host_(host),
+      port_(port),
+      log_(host.sim().ctx().log(), "sip", host.name()) {
   host_.bind(port_, [this](const net::Datagram& d, const net::RxInfo&) {
     on_datagram(d);
   });

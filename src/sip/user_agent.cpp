@@ -7,7 +7,7 @@ namespace siphoc::sip {
 UserAgent::UserAgent(net::Host& host, UserAgentConfig config)
     : host_(host),
       config_(std::move(config)),
-      log_("ua", host.name()),
+      log_(host.sim().ctx().log(), "ua", host.name()),
       transport_(host, config_.sip_port),
       // The UA talks to its outbound proxy on the same host, so loopback is
       // a valid sent-by: responses retrace through that proxy.

@@ -11,7 +11,7 @@ ConnectionProvider::ConnectionProvider(net::Host& host,
     : host_(host),
       directory_(directory),
       config_(config),
-      log_("connprov", host.name()),
+      log_(host.sim().ctx().log(), "connprov", host.name()),
       on_change_(std::move(on_change)),
       tunnel_(host, [this](bool connected, net::Address address) {
         if (connected) {

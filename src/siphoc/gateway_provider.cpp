@@ -9,7 +9,7 @@ GatewayProvider::GatewayProvider(net::Host& host, slp::Directory& directory,
     : host_(host),
       directory_(directory),
       config_(config),
-      log_("gateway", host.name()),
+      log_(host.sim().ctx().log(), "gateway", host.name()),
       server_(host) {}
 
 GatewayProvider::~GatewayProvider() { stop(); }

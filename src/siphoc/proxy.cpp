@@ -22,7 +22,7 @@ SiphocProxy::SiphocProxy(net::Host& host, slp::Directory& directory,
     : host_(host),
       directory_(directory),
       config_(config),
-      log_("proxy", host.name()),
+      log_(host.sim().ctx().log(), "proxy", host.name()),
       transport_(host, config_.port) {
   transport_.set_handler([this](Message m, net::Endpoint from) {
     on_message(std::move(m), from);

@@ -51,7 +51,7 @@ Result<Decoded> decode_frame(std::span<const std::uint8_t> data) {
 // ===========================================================================
 
 TunnelServer::TunnelServer(net::Host& host)
-    : host_(host), log_("tunnel-srv", host.name()) {}
+    : host_(host), log_(host.sim().ctx().log(), "tunnel-srv", host.name()) {}
 
 TunnelServer::~TunnelServer() { stop(); }
 
@@ -224,7 +224,7 @@ void TunnelServer::expire_clients() {
 // ===========================================================================
 
 TunnelClient::TunnelClient(net::Host& host, StateCallback on_state)
-    : host_(host), log_("tunnel-cli", host.name()),
+    : host_(host), log_(host.sim().ctx().log(), "tunnel-cli", host.name()),
       on_state_(std::move(on_state)) {}
 
 TunnelClient::~TunnelClient() {

@@ -24,7 +24,7 @@ ManetSlp::ManetSlp(net::Host& host, routing::Protocol& protocol,
     : host_(host),
       protocol_(protocol),
       config_(config),
-      log_("slp", host.name()),
+      log_(host.sim().ctx().log(), "slp", host.name()),
       metrics_(host.sim().ctx().metrics(), host.name()) {
   protocol_.set_handler(this);
 }

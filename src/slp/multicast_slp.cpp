@@ -14,7 +14,9 @@ enum class SlpMsg : std::uint8_t {
 }  // namespace
 
 MulticastSlp::MulticastSlp(net::Host& host, MulticastSlpConfig config)
-    : host_(host), config_(config), log_("mslp", host.name()) {
+    : host_(host),
+      config_(config),
+      log_(host.sim().ctx().log(), "mslp", host.name()) {
   host_.bind(net::kSlpPort,
              [this](const net::Datagram& d, const net::RxInfo&) {
                on_packet(d);

@@ -23,7 +23,7 @@ sip::UserAgentConfig to_ua_config(const SoftPhoneConfig& config) {
 SoftPhone::SoftPhone(net::Host& host, SoftPhoneConfig config)
     : host_(host),
       config_(std::move(config)),
-      log_("phone", host.name()),
+      log_(host.sim().ctx().log(), "phone", host.name()),
       ua_(host, to_ua_config(config_)) {
   sip::UserAgentCallbacks callbacks;
   callbacks.on_incoming = [this](sip::CallId id, const sip::Uri& peer) {

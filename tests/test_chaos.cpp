@@ -416,7 +416,6 @@ TEST(ChaosSoakTest, SameSeedIsByteIdentical) {
     std::string narration;
     std::string metrics;
     {
-      SimContext::Bind bind(ctx);
       Options o;
       o.context = &ctx;
       o.seed = seed;

@@ -8,9 +8,10 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/context.hpp"
-#include "common/metrics.hpp"
+#include "net/host.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
 
@@ -31,19 +32,42 @@ TEST(SimContextTest, DeriveSeedIsDeterministicDistinctAndNonZero) {
   }
 }
 
-TEST(SimContextTest, CurrentFallsBackToGlobalAndBindNests) {
-  EXPECT_EQ(&SimContext::current(), &SimContext::global());
-  SimContext a, b;
-  {
-    SimContext::Bind bind_a(a);
-    EXPECT_EQ(&SimContext::current(), &a);
-    {
-      SimContext::Bind bind_b(b);
-      EXPECT_EQ(&SimContext::current(), &b);
-    }
-    EXPECT_EQ(&SimContext::current(), &a);
-  }
-  EXPECT_EQ(&SimContext::current(), &SimContext::global());
+TEST(SimContextTest, SimulatorsWithoutContextStayIsolated) {
+  // Two simulators built with no context each own a fresh one: a
+  // component's log records and counters land only in the context of the
+  // simulator it was built on, never in the other's.
+  sim::Simulator sim_a(7);
+  sim::Simulator sim_b(9);
+  EXPECT_NE(&sim_a.ctx(), &sim_b.ctx());
+  std::vector<std::string> lines_a, lines_b;
+  sim_a.ctx().log().set_sink(
+      [&](const LogRecord& rec) { lines_a.push_back(rec.node); });
+  sim_b.ctx().log().set_sink(
+      [&](const LogRecord& rec) { lines_b.push_back(rec.node); });
+  sim_a.ctx().log().set_level(LogLevel::kDebug);
+  sim_b.ctx().log().set_level(LogLevel::kDebug);
+
+  net::Host host_a(sim_a, 0, "a");
+  net::Host host_b(sim_b, 0, "b");
+  sim_a.schedule(milliseconds(1), [&] {
+    sim_a.ctx().metrics().counter("test.ticks_total", "a").add();
+    // No route anywhere: the host logs the drop.
+    host_a.send_udp(1000, {net::Address(10, 0, 0, 9), 2000}, to_bytes("x"));
+  });
+  sim_b.schedule(milliseconds(1), [&] {
+    sim_b.ctx().metrics().counter("test.ticks_total", "b").add(2);
+    host_b.send_udp(1000, {net::Address(10, 0, 0, 9), 2000}, to_bytes("y"));
+    host_b.send_udp(1000, {net::Address(10, 0, 0, 9), 2000}, to_bytes("z"));
+  });
+  sim_a.run_for(milliseconds(2));
+  sim_b.run_for(milliseconds(2));
+
+  EXPECT_EQ(lines_a, std::vector<std::string>{"a"});
+  EXPECT_EQ(lines_b, (std::vector<std::string>{"b", "b"}));
+  EXPECT_EQ(sim_a.ctx().metrics().counter_total("test.ticks_total"), 1u);
+  EXPECT_EQ(sim_b.ctx().metrics().counter_total("test.ticks_total"), 2u);
+  EXPECT_EQ(sim_a.ctx().metrics().find_counter("test.ticks_total", "b", ""),
+            nullptr);
 }
 
 TEST(SimContextTest, TwoSimulatorsCoexistOnOneThread) {
@@ -54,25 +78,21 @@ TEST(SimContextTest, TwoSimulatorsCoexistOnOneThread) {
   // Interleave: run A a bit, then B, then A again. Each simulation's
   // events must land in its own registry only.
   sim_a.schedule(milliseconds(1), [&] {
-    SimContext::current().metrics().counter("test.ticks_total", "a").add();
+    sim_a.ctx().metrics().counter("test.ticks_total", "a").add();
   });
   sim_b.schedule(milliseconds(1), [&] {
-    SimContext::current().metrics().counter("test.ticks_total", "b").add(2);
+    sim_b.ctx().metrics().counter("test.ticks_total", "b").add(2);
   });
   sim_a.schedule(milliseconds(5), [&] {
-    SimContext::current().metrics().counter("test.ticks_total", "a").add();
+    sim_a.ctx().metrics().counter("test.ticks_total", "a").add();
   });
 
-  const auto global_before =
-      MetricsRegistry::instance().counter_total("test.ticks_total");
   sim_a.run_for(milliseconds(2));
   sim_b.run_for(milliseconds(2));
   sim_a.run_for(milliseconds(10));
 
   EXPECT_EQ(ctx_a.metrics().counter_total("test.ticks_total"), 2u);
   EXPECT_EQ(ctx_b.metrics().counter_total("test.ticks_total"), 2u);
-  EXPECT_EQ(MetricsRegistry::instance().counter_total("test.ticks_total"),
-            global_before);
 }
 
 TEST(SimContextTest, TimeSourceSurvivesEarlierOwnerDestruction) {

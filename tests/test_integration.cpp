@@ -301,16 +301,14 @@ TEST(IntegrationTest, MobileNodesCallEventuallySucceeds) {
 }
 
 // The observability contract end to end: a completed call must leave the
-// expected traces in the process-wide registry (docs/METRICS.md).
+// expected traces in the testbed's registry (docs/METRICS.md).
 TEST(IntegrationTest, CompletedCallLeavesMetricsTrail) {
-  auto& registry = MetricsRegistry::instance();
-  registry.reset();  // before the testbed: reset invalidates bound series
-
   scenario::Options o;
   o.nodes = 4;
   o.routing = RoutingKind::kAodv;
   o.seed = 77;
   scenario::Testbed bed(o);
+  auto& registry = bed.ctx().metrics();
   bed.start();
   auto& alice = bed.add_phone(0, "alice");
   auto& bob = bed.add_phone(3, "bob");

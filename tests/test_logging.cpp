@@ -9,23 +9,24 @@ namespace {
 
 class LogCapture {
  public:
-  LogCapture() {
-    Logging::instance().set_sink([this](const LogRecord& rec) {
-      records.push_back(rec);
-    });
-    Logging::instance().set_level(LogLevel::kDebug);
+  explicit LogCapture(Logging& log) : log_(log) {
+    log_.set_sink([this](const LogRecord& rec) { records.push_back(rec); });
+    log_.set_level(LogLevel::kDebug);
   }
   ~LogCapture() {
-    Logging::instance().set_sink(nullptr);
-    Logging::instance().set_level(LogLevel::kOff);
+    log_.set_sink(nullptr);
+    log_.set_level(LogLevel::kOff);
   }
   std::vector<LogRecord> records;
+
+ private:
+  Logging& log_;
 };
 
 TEST(LoggingTest, RecordsCarryComponentNodeAndTime) {
-  sim::Simulator sim;  // registers the time source
-  LogCapture capture;
-  Logger log("proxy", "n3");
+  sim::Simulator sim;  // registers the time source on its context's log
+  LogCapture capture(sim.ctx().log());
+  Logger log(sim.ctx().log(), "proxy", "n3");
   sim.run_for(seconds(2));
   log.info("hello ", 42, " world");
   ASSERT_EQ(capture.records.size(), 1u);
@@ -38,9 +39,10 @@ TEST(LoggingTest, RecordsCarryComponentNodeAndTime) {
 }
 
 TEST(LoggingTest, LevelFiltering) {
-  LogCapture capture;
-  Logging::instance().set_level(LogLevel::kWarn);
-  Logger log("test");
+  Logging logging;
+  LogCapture capture(logging);
+  logging.set_level(LogLevel::kWarn);
+  Logger log(logging, "test");
   log.debug("dropped");
   log.info("dropped");
   log.warn("kept");
@@ -49,9 +51,10 @@ TEST(LoggingTest, LevelFiltering) {
 }
 
 TEST(LoggingTest, OffLevelMeansNoSinkCalls) {
-  LogCapture capture;
-  Logging::instance().set_level(LogLevel::kOff);
-  Logger log("test");
+  Logging logging;
+  LogCapture capture(logging);
+  logging.set_level(LogLevel::kOff);
+  Logger log(logging, "test");
   log.error("still dropped");
   EXPECT_TRUE(capture.records.empty());
 }

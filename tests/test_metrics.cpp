@@ -1,9 +1,9 @@
 // MetricsRegistry: instrument semantics, label cardinality cap, span ring
-// wraparound, virtual-time stamping and export round-trips. The registry
-// is process-wide, so every test starts from reset().
+// wraparound, virtual-time stamping and export round-trips. Every test
+// gets a fresh context, hence a fresh registry.
 #include <gtest/gtest.h>
 
-#include "common/metrics.hpp"
+#include "common/context.hpp"
 #include "sim/simulator.hpp"
 
 namespace siphoc {
@@ -11,13 +11,8 @@ namespace {
 
 class MetricsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    registry().reset();
-    registry().set_label_cardinality_cap(512);
-    registry().set_span_capacity(4096);
-  }
-  void TearDown() override { registry().reset(); }
-  MetricsRegistry& registry() { return MetricsRegistry::instance(); }
+  MetricsRegistry& registry() { return ctx_.metrics(); }
+  SimContext ctx_;
 };
 
 TEST_F(MetricsTest, CounterIsMonotonicAndSharedByKey) {
@@ -117,9 +112,9 @@ TEST_F(MetricsTest, SpanRingWrapsAroundKeepingNewest) {
 }
 
 TEST_F(MetricsTest, SpansCarryVirtualTimeFromSimulator) {
-  sim::Simulator sim;  // registers itself as the registry time source
-  sim.schedule(milliseconds(5), [] {
-    ScopedSpan span("work", "unit", "n0");  // records [5ms, 5ms]
+  sim::Simulator sim(1, &ctx_);  // registers itself as the time source
+  sim.schedule(milliseconds(5), [this] {
+    ScopedSpan span(registry(), "work", "unit", "n0");  // records [5ms, 5ms]
   });
   sim.schedule(milliseconds(7), [this] {
     registry().record_span("tail", "unit", "n0",
@@ -179,22 +174,6 @@ TEST_F(MetricsTest, CsvExportRoundTrip) {
             std::string::npos);
   EXPECT_NE(csv.find("span,test_span,n0,unit,span,100,250"),
             std::string::npos);
-}
-
-TEST_F(MetricsTest, ResetDropsSeriesAndSpansButKeepsConfig) {
-  registry().set_label_cardinality_cap(7);
-  registry().set_span_capacity(11);
-  registry().counter("test.events_total", "n0", "unit").add();
-  registry().record_span("s", "unit", "n0", TimePoint{}, TimePoint{});
-
-  registry().reset();
-  EXPECT_EQ(registry().counter_total("test.events_total"), 0u);
-  EXPECT_EQ(registry().find_counter("test.events_total", "n0", "unit"),
-            nullptr);
-  EXPECT_TRUE(registry().spans().empty());
-  EXPECT_EQ(registry().spans_recorded(), 0u);
-  EXPECT_EQ(registry().label_cardinality_cap(), 7u);
-  EXPECT_EQ(registry().span_capacity(), 11u);
 }
 
 }  // namespace

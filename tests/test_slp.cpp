@@ -250,17 +250,17 @@ TEST_P(ManetSlpTest, MalformedExtensionIsCountedAndNamesThePacket) {
   auto& metrics = sim_->ctx().metrics();
   const auto errors_before = metrics.counter_total("slp.decode_errors_total");
   std::vector<std::string> warnings;
-  Logging::instance().set_sink(
-      [&](const LogRecord& rec) { warnings.push_back(rec.message); });
-  Logging::instance().set_level(LogLevel::kWarn);
+  Logging& log = sim_->ctx().log();
+  log.set_sink([&](const LogRecord& rec) { warnings.push_back(rec.message); });
+  log.set_level(LogLevel::kWarn);
   const bool aodv = GetParam() == Plugin::kAodv;
   routing::PacketInfo info;
   info.kind = aodv ? routing::PacketKind::kAodvRreq
                    : routing::PacketKind::kOlsrTc;
   const Bytes junk = {0x05, 0xff, 0xff};
   const auto verdict = dirs_[0]->on_incoming(info, junk, Address(10, 0, 0, 9));
-  Logging::instance().set_sink(nullptr);
-  Logging::instance().set_level(LogLevel::kOff);
+  log.set_sink(nullptr);
+  log.set_level(LogLevel::kOff);
 
   EXPECT_FALSE(verdict.answer);
   EXPECT_EQ(metrics.counter_total("slp.decode_errors_total") - errors_before,
