@@ -39,7 +39,7 @@ void RadioMedium::configure_lanes(std::function<std::uint32_t(NodeId)> lane_of) 
   sharded_ = true;
   lane_of_ = std::move(lane_of);
   lane_stats_.assign(sim_.lane_count(), MediumStats{});
-  lane_scratch_.resize(sim_.lane_count());
+  scratch_.resize(sim_.lane_count());
   index_dirty_ = true;
   sim_.set_epoch_hook([this] { epoch_refresh(); });
 }
@@ -259,8 +259,8 @@ void RadioMedium::transmit(const Frame& frame) {
   // a disabled one, but without touching the attachment state.
   if (!jammed_.empty() && jammed_.contains(frame.src_mac)) return;
 
-  // Sharded runs keep one stats shard and one candidate scratch buffer per
-  // lane; aggregation happens in stats() at barrier time.
+  // Sharded runs keep one stats shard and one scratch block per lane;
+  // aggregation happens in stats() at barrier time.
   const std::uint32_t lane = sharded_ ? sim_.current_lane() : 0;
   MediumStats& st = sharded_ ? lane_stats_[lane] : stats_;
   ++st.frames_sent;
@@ -287,21 +287,49 @@ void RadioMedium::transmit(const Frame& frame) {
 
   // Receiver set: unicast resolves the addressed MAC directly; broadcast
   // asks the spatial index for everything possibly in range.
-  std::vector<std::uint32_t>& scratch =
-      sharded_ ? lane_scratch_[lane] : scratch_;
-  scratch.clear();
+  TxScratch& scratch = scratch_[lane];
+  scratch.candidates.clear();
   std::span<const std::uint32_t> candidates;
   if (frame.dst_mac == kBroadcastMac) {
     const auto index = static_cast<std::uint32_t>(sender - radios_.data());
-    candidates = broadcast_candidates(index, from, scratch);
+    candidates = broadcast_candidates(index, from, scratch.candidates);
   } else if (const auto it = mac_index_.find(frame.dst_mac);
              it != mac_index_.end()) {
-    scratch.push_back(it->second);
-    candidates = scratch;
+    scratch.candidates.push_back(it->second);
+    candidates = scratch.candidates;
   }
 
   // Injected loss is time-dependent (ramps); evaluate once per frame.
   const double fault_loss = fault_loss_probability(sim_.now());
+
+  // Hands one reception to the kernel on the receiver's home lane (lane 0
+  // when unsharded); the MAC latency floor under every arrival is what
+  // makes the lookahead window sound. A reception at the frame's base
+  // arrival joins its lane's group; a later one (reordered, duplicated)
+  // is an event of its own. `deliver` is copied either way: a radio
+  // detached in flight still receives what was already sent to it.
+  std::vector<DeliveryGroup>& groups = scratch.groups;
+  const auto emit = [&](std::uint32_t rx_lane, Duration at,
+                        const RadioAttachment& rx,
+                        std::shared_ptr<const Frame> mangled) {
+    if (at == arrival) {
+      auto group = std::find_if(groups.begin(), groups.end(),
+                                [&](const DeliveryGroup& g) {
+                                  return g.lane == rx_lane;
+                                });
+      if (group == groups.end()) {
+        group = groups.insert(groups.end(), DeliveryGroup{rx_lane, {}});
+      }
+      group->receptions.push_back(Reception{rx.deliver, std::move(mangled)});
+      return;
+    }
+    auto deliver = rx.deliver;
+    if (mangled) {
+      sim_.schedule_on(rx_lane, at, [deliver, mangled] { deliver(*mangled); });
+    } else {
+      sim_.schedule_on(rx_lane, at, [deliver, frame] { deliver(frame); });
+    }
+  };
 
   bool unicast_reached = frame.dst_mac == kBroadcastMac;
   for (const std::uint32_t i : candidates) {
@@ -344,22 +372,14 @@ void RadioMedium::transmit(const Frame& frame) {
           faults_.reorder_delay * sim_.rng().uniform());
     }
     ++st.frames_delivered;
-    // Copy what the closure needs: the attachment may move as radios_
-    // grows. The frame copy is cheap -- the payload is a shared buffer.
-    // Delivery lands on the receiver's home lane (lane 0 when unsharded);
-    // the MAC latency floor under rx_arrival is what makes the lookahead
-    // window sound.
     const std::uint32_t rx_lane = sharded_ ? lane_by_radio_[i] : 0;
-    auto deliver = rx.deliver;
+    std::shared_ptr<const Frame> mangled;
     if (corrupt) {
       ++st.frames_corrupted;
       bump_fault_counter("medium.frames_corrupted_total");
-      Frame mangled = corrupt_copy(frame);
-      sim_.schedule_on(rx_lane, rx_arrival,
-                       [deliver, mangled = std::move(mangled)] { deliver(mangled); });
-    } else {
-      sim_.schedule_on(rx_lane, rx_arrival, [deliver, frame] { deliver(frame); });
+      mangled = std::make_shared<const Frame>(corrupt_copy(frame));
     }
+    emit(rx_lane, rx_arrival, rx, std::move(mangled));
     if (duplicate) {
       ++st.frames_duplicated;
       bump_fault_counter("medium.frames_duplicated_total");
@@ -368,9 +388,38 @@ void RadioMedium::transmit(const Frame& frame) {
       const Duration dup_arrival =
           rx_arrival +
           config_.mac_latency * (1 + sim_.rng().uniform_int(0, 3));
-      sim_.schedule_on(rx_lane, dup_arrival, [deliver, frame] { deliver(frame); });
+      emit(rx_lane, dup_arrival, rx, nullptr);
     }
   }
+
+  // One kernel event per receiving lane runs the frame's on-time
+  // receptions in candidate order, and counts as that many events. This
+  // keeps each lane's (when, seq) execution order equal to one event per
+  // reception. Those events would have held consecutive sequence numbers
+  // among the lane's events due at `arrival` (also via the outbox, which
+  // is drained in order): nothing else due then was scheduled in between,
+  // because everything else this call schedules is later (late copies),
+  // or is the unicast-failure notice, which exists only when no reception
+  // does. So they would run back to back, unless a reception's handler
+  // put an event due at the same instant ahead of the later ones. A
+  // same-lane event takes a higher sequence number and runs after the
+  // group either way. A cross-lane one could cut in only in a serial
+  // window, where lanes interleave in (when, lane) order, but
+  // Simulator::schedule_on requires cross-lane delays of at least the
+  // lookahead, so none is due at `arrival`. The frame is copied once per
+  // group, not once per receiver.
+  for (DeliveryGroup& group : groups) {
+    const auto count = static_cast<std::uint32_t>(group.receptions.size());
+    sim_.schedule_on(
+        group.lane, arrival,
+        [frame, receptions = std::move(group.receptions)] {
+          for (const Reception& r : receptions) {
+            r.deliver(r.mangled ? *r.mangled : frame);
+          }
+        },
+        count);
+  }
+  groups.clear();
 
   if (!unicast_reached) {
     ++st.unicast_unreachable;

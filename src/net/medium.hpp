@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -214,18 +215,33 @@ class RadioMedium {
   // Rebuilt with the grid; empty for mobile radios.
   std::vector<std::uint32_t> near_offsets_;
   std::vector<std::uint32_t> near_fixed_;
-  mutable std::vector<std::uint32_t> scratch_;  // reused per transmit
   bool index_dirty_ = true;
+
+  /// One reception inside a grouped delivery event (see transmit()).
+  struct Reception {
+    std::function<void(const Frame&)> deliver;
+    std::shared_ptr<const Frame> mangled;  // set for a corrupted copy
+  };
+  /// A frame's on-time receptions on one lane, in candidate order.
+  struct DeliveryGroup {
+    std::uint32_t lane = 0;
+    std::vector<Reception> receptions;
+  };
+  /// Reused per transmit: one block per lane (just lane 0 when unsharded).
+  struct TxScratch {
+    std::vector<std::uint32_t> candidates;
+    std::vector<DeliveryGroup> groups;
+  };
+  std::vector<TxScratch> scratch_ = std::vector<TxScratch>(1);
 
   // Sharded-mode state. `lane_by_radio_` mirrors radios_ (rebuilt with the
   // index); `mobile_position_cache_` is the barrier snapshot concurrent
-  // windows read; scratch and stats become per-lane to keep region lanes
+  // windows read; scratch_ and stats become per-lane to keep region lanes
   // from sharing mutable state.
   bool sharded_ = false;
   std::function<std::uint32_t(NodeId)> lane_of_;
   std::vector<std::uint32_t> lane_by_radio_;
   std::vector<Position> mobile_position_cache_;
-  mutable std::vector<std::vector<std::uint32_t>> lane_scratch_;
   std::vector<MediumStats> lane_stats_;
   mutable MediumStats agg_stats_;
   std::unordered_map<Address, NodeId> arp_;

@@ -57,9 +57,27 @@ void Aodv::start() {
   housekeeping_timer_.start(host_.sim(), milliseconds(500), [this] {
     table_.expire(now());
     check_neighbors();
-    const TimePoint t = now();
-    std::erase_if(rreq_seen_, [&](const auto& kv) { return kv.second <= t; });
+    purge_rreq_seen(now());
   });
+}
+
+bool Aodv::note_rreq(std::uint64_t key) {
+  const TimePoint expiry = now() + config_.rreq_id_cache_ttl;
+  const bool seen = !rreq_seen_.insert_or_assign(key, expiry).second;
+  rreq_expiry_.emplace_back(expiry, key);
+  return seen;
+}
+
+void Aodv::purge_rreq_seen(TimePoint t) {
+  // An id stays a duplicate until the first tick at or after its expiry,
+  // not at the expiry instant. A later duplicate pushes a later expiry;
+  // the stale front entry then leaves the id alone.
+  while (!rreq_expiry_.empty() && rreq_expiry_.front().first <= t) {
+    const auto [expiry, key] = rreq_expiry_.front();
+    rreq_expiry_.pop_front();
+    const auto it = rreq_seen_.find(key);
+    if (it != rreq_seen_.end() && it->second == expiry) rreq_seen_.erase(it);
+  }
 }
 
 void Aodv::stop() {
@@ -201,9 +219,7 @@ void Aodv::on_packet(const net::Datagram& d, const net::RxInfo&) {
 void Aodv::handle_rreq(const Rreq& m, const Bytes& ext, net::Address from) {
   if (m.orig == self()) return;  // own flood echoed back
 
-  const auto key = std::make_pair(m.orig, m.rreq_id);
-  const bool duplicate = rreq_seen_.contains(key);
-  rreq_seen_[key] = now() + config_.rreq_id_cache_ttl;
+  const bool duplicate = note_rreq(rreq_key(m.orig, m.rreq_id));
 
   // Reverse route to the previous hop and to the originator (RFC 6.5).
   table_.update(from, 0, false, 1, from, now() + config_.active_route_timeout);
@@ -413,7 +429,7 @@ void Aodv::send_rreq_for(net::Address dst, PendingDiscovery& pending) {
     rreq.dst_seqno = known->seqno;
     rreq.unknown_seqno = false;
   }
-  rreq_seen_[{self(), rreq.rreq_id}] = now() + config_.rreq_id_cache_ttl;
+  note_rreq(rreq_key(self(), rreq.rreq_id));
   broadcast_rreq(rreq, pending.service_query ? pending.query_extension
                                              : Bytes{});
 

@@ -133,8 +133,19 @@ class Aodv final : public Protocol {
   std::uint32_t seqno_ = 1;
   std::uint32_t rreq_id_ = 0;
   std::map<net::Address, PendingDiscovery> discoveries_;
-  // (orig, rreq_id) -> expiry, for duplicate suppression.
-  std::map<std::pair<net::Address, std::uint32_t>, TimePoint> rreq_seen_;
+  // RREQ duplicate suppression: rreq_key(orig, id) -> expiry, and the
+  // same (expiry, key) pairs in the order they were written. Expiries are
+  // written in non-decreasing order, so housekeeping pops the FIFO front
+  // while it has lapsed instead of scanning every entry.
+  static std::uint64_t rreq_key(net::Address orig, std::uint32_t id) {
+    return (std::uint64_t{orig.value()} << 32) | id;
+  }
+  /// Records `key` as seen until now + rreq_id_cache_ttl; true when it
+  /// already was.
+  bool note_rreq(std::uint64_t key);
+  void purge_rreq_seen(TimePoint t);
+  std::unordered_map<std::uint64_t, TimePoint> rreq_seen_;
+  std::deque<std::pair<TimePoint, std::uint64_t>> rreq_expiry_;
   std::unordered_map<net::Address, TimePoint> neighbors_;  // last heard
 
   sim::PeriodicTimer hello_timer_;

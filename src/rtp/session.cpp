@@ -54,9 +54,11 @@ void Session::on_frame_timer() {
       ++seq_, timestamp_, ssrc_, tick.spurt_start, host_.sim().now());
   ++sent_;
   sent_octets_ += packet.payload.size();
-  host_.sim().ctx().metrics()
-      .counter("rtp.packets_tx_total", host_.name(), "rtp")
-      .add();
+  if (packets_tx_ == nullptr) {
+    packets_tx_ = &host_.sim().ctx().metrics().counter("rtp.packets_tx_total",
+                                                       host_.name(), "rtp");
+  }
+  packets_tx_->add();
   host_.send_udp(config_.local_port, config_.remote, packet.encode());
 }
 

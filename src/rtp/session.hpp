@@ -69,6 +69,9 @@ class Session {
   std::uint32_t timestamp_ = 0;
   std::uint64_t sent_ = 0;
   std::uint64_t sent_octets_ = 0;
+  // rtp.packets_tx_total, looked up on the first send: a session that
+  // never sends must not create the series.
+  Counter* packets_tx_ = nullptr;
   std::uint64_t sent_at_last_rtcp_ = 0;
   std::uint64_t rtcp_sent_ = 0;
   std::uint64_t rtcp_received_ = 0;

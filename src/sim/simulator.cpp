@@ -113,11 +113,13 @@ void Simulator::merge_lane_metrics() {
 }
 
 EventHandle Simulator::push_event(Lane& lane, TimePoint when,
-                                  std::function<void()> fn) {
+                                  std::function<void()> fn,
+                                  std::uint32_t count) {
   assert(when >= lane.now);
   const std::uint32_t slot = lane.pool->acquire();
   detail::EventRecord& rec = lane.pool->records[slot];
   rec.fn = std::move(fn);
+  rec.count = count;
   rec.cancelled = false;
   rec.live = true;
   lane.queue.push(QueueEntry{when, lane.next_seq++, slot});
@@ -135,19 +137,24 @@ EventHandle Simulator::schedule_at(TimePoint when, std::function<void()> fn) {
 }
 
 EventHandle Simulator::schedule_on(std::uint32_t lane_index, Duration delay,
-                                   std::function<void()> fn) {
+                                   std::function<void()> fn,
+                                   std::uint32_t count) {
   assert(lane_index < lanes_.size());
   const std::uint32_t src = current_lane();
+  // A cross-lane event due sooner than the lookahead could, in a serial
+  // window, cut into a group of receptions (see RadioMedium::transmit).
+  assert(!sharded() || lane_index == src || delay >= lookahead_);
   const TimePoint when = lanes_[src].now + delay;
   if (t_exec.sim == this && t_exec.in_window && lane_index != src) {
     // Concurrent window: park in the source outbox; enqueued (with a
     // deterministic sequence number) at the barrier. The lookahead
     // guarantee makes `when` land at or beyond the window end, so the
     // event cannot have been needed inside this window.
-    lanes_[src].outbox.push_back(OutboxEntry{lane_index, when, std::move(fn)});
+    lanes_[src].outbox.push_back(
+        OutboxEntry{lane_index, count, when, std::move(fn)});
     return EventHandle{};
   }
-  return push_event(lanes_[lane_index], when, std::move(fn));
+  return push_event(lanes_[lane_index], when, std::move(fn), count);
 }
 
 bool Simulator::step(TimePoint limit) {
@@ -161,10 +168,11 @@ bool Simulator::step(TimePoint limit) {
     const bool cancelled = rec.cancelled;
     // Move the closure out before releasing the slot: the callback may
     // schedule more events, which can recycle the slot and grow the slab.
+    const std::uint32_t count = rec.count;
     std::function<void()> fn = std::move(rec.fn);
     lane.pool->release(top.slot);
     if (cancelled) continue;
-    ++lane.events_executed;
+    lane.events_executed += count;
     fn();
     return true;
   }
@@ -205,9 +213,9 @@ void Simulator::exec_top(std::uint32_t lane_index) {
   lane.queue.pop();
   lane.now = top.when;
   detail::EventRecord& rec = lane.pool->records[top.slot];
+  lane.events_executed += rec.count;
   std::function<void()> fn = std::move(rec.fn);
   lane.pool->release(top.slot);
-  ++lane.events_executed;
   ExecGuard guard(this, lane_index, /*in_window=*/false);
   fn();
 }
@@ -224,9 +232,9 @@ void Simulator::run_lane_window(std::uint32_t lane_index, TimePoint wend,
     lane.queue.pop();
     lane.now = top.when;
     detail::EventRecord& rec = lane.pool->records[top.slot];
+    lane.events_executed += rec.count;
     std::function<void()> fn = std::move(rec.fn);
     lane.pool->release(top.slot);
-    ++lane.events_executed;
     fn();
   }
 }
@@ -234,7 +242,7 @@ void Simulator::run_lane_window(std::uint32_t lane_index, TimePoint wend,
 void Simulator::drain_outboxes() {
   for (Lane& src : lanes_) {
     for (OutboxEntry& msg : src.outbox) {
-      push_event(lanes_[msg.target], msg.when, std::move(msg.fn));
+      push_event(lanes_[msg.target], msg.when, std::move(msg.fn), msg.count);
     }
     src.outbox.clear();
   }

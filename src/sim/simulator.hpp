@@ -50,6 +50,7 @@ inline constexpr std::uint32_t kInvalidSlot = 0xffffffffu;
 struct EventRecord {
   std::function<void()> fn;
   std::uint32_t generation = 0;
+  std::uint32_t count = 1;  // deliveries this event stands for
   std::uint32_t next_free = kInvalidSlot;
   bool cancelled = false;
   bool live = false;
@@ -210,8 +211,12 @@ class Simulator {
   /// concurrent window a cross-lane event travels through the source
   /// lane's outbox and is enqueued at the next barrier, in which case the
   /// returned handle is inert (cross-lane deliveries are never cancelled).
+  /// On a sharded simulator a cross-lane `delay` must be at least the
+  /// lookahead. `count` is how many deliveries the event stands for: the
+  /// radio medium runs all of a frame's same-lane, same-instant receptions
+  /// in one event, and events_executed() counts each of them.
   EventHandle schedule_on(std::uint32_t lane, Duration delay,
-                          std::function<void()> fn);
+                          std::function<void()> fn, std::uint32_t count = 1);
 
   /// Runs until the event queue drains or `until` is reached, whichever is
   /// first. Time advances to `until` even if the queue drains earlier, so
@@ -226,7 +231,7 @@ class Simulator {
   void run_to_completion();
 
   /// Number of events executed so far, summed over lanes (sanity metric
-  /// for benches).
+  /// for benches). An event scheduled with a `count` adds that count.
   std::uint64_t events_executed() const;
 
   /// Window accounting (sharded runs only): how many lookahead windows
@@ -254,6 +259,7 @@ class Simulator {
   /// so enqueue order is thread-count independent).
   struct OutboxEntry {
     std::uint32_t target;
+    std::uint32_t count;
     TimePoint when;
     std::function<void()> fn;
   };
@@ -271,7 +277,8 @@ class Simulator {
     std::vector<OutboxEntry> outbox;
   };
 
-  EventHandle push_event(Lane& lane, TimePoint when, std::function<void()> fn);
+  EventHandle push_event(Lane& lane, TimePoint when, std::function<void()> fn,
+                         std::uint32_t count = 1);
   bool step(TimePoint limit);  // classic sequential loop over lane 0
   void run_until_sharded(TimePoint until);
   void run_lane_window(std::uint32_t lane_index, TimePoint wend,

@@ -144,16 +144,30 @@ std::vector<ServiceEntry> ManetSlp::snapshot() const {
 
 std::optional<ServiceEntry> ManetSlp::find_match(const std::string& type,
                                                  const std::string& key) const {
+  // Visits, in map order, only the entries that can match: the one stored
+  // under (type, key), or for an empty key (gateway discovery) every key
+  // of the type, a run that starts at (type, "").
+  const auto candidates = [&](const auto& map, auto&& visit) {
+    for (auto it = map.lower_bound(KeyView{type, key});
+         it != map.end() && it->first.first == type &&
+         (key.empty() || it->first.second == key);
+         ++it) {
+      if (!visit(it->second)) return;
+    }
+  };
   // Local registrations win; among cached matches prefer the freshest
   // version (re-registrations supersede stale bindings).
-  for (const auto& [k, e] : local_) {
-    if (e.matches(type, key) && e.expires > now()) return e;
-  }
   const ServiceEntry* best = nullptr;
-  for (const auto& [k, e] : cache_) {
-    if (!e.matches(type, key) || e.expires <= now()) continue;
-    if (best == nullptr || e.version > best->version) best = &e;
-  }
+  candidates(local_, [&](const ServiceEntry& e) {
+    if (e.expires > now()) best = &e;
+    return best == nullptr;
+  });
+  if (best != nullptr) return *best;
+  candidates(cache_, [&](const ServiceEntry& e) {
+    if (e.expires > now() && (best == nullptr || e.version > best->version))
+      best = &e;
+    return true;
+  });
   if (best == nullptr) return std::nullopt;
   return *best;
 }

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <map>
+#include <string_view>
 
 #include "common/logging.hpp"
 #include "net/host.hpp"
@@ -98,6 +99,17 @@ class ManetSlp final : public Directory, public routing::RoutingHandler {
 
  private:
   using Key = std::pair<std::string, std::string>;  // (type, key)
+  using KeyView = std::pair<std::string_view, std::string_view>;
+  /// Orders Key and KeyView alike, so lookups need not copy strings.
+  struct KeyLess {
+    using is_transparent = void;
+    static KeyView view(const Key& k) { return {k.first, k.second}; }
+    static KeyView view(const KeyView& k) { return k; }
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return view(a) < view(b);
+    }
+  };
 
   TimePoint now() const { return host_.sim().now(); }
   std::optional<ServiceEntry> find_match(const std::string& type,
@@ -135,8 +147,8 @@ class ManetSlp final : public Directory, public routing::RoutingHandler {
   ManetSlpConfig config_;
   Logger log_;
 
-  std::map<Key, ServiceEntry> local_;  // authoritative registrations
-  std::map<Key, ServiceEntry> cache_;  // learned from the network
+  std::map<Key, ServiceEntry, KeyLess> local_;  // authoritative registrations
+  std::map<Key, ServiceEntry, KeyLess> cache_;  // learned from the network
   // Lower bound on the earliest `expires` in cache_: purge_expired() has
   // nothing to erase before it. absorb(), the only writer of cache_, lowers
   // it on every write; a purge that scans recomputes it exactly.

@@ -187,6 +187,72 @@ TEST_F(AodvChain, StatsAccounting) {
   EXPECT_GT(stats.control_bytes_sent, 0u);
 }
 
+// The RREQ duplicate cache keeps an id until the first housekeeping tick
+// (every 500 ms from start()) at or after its expiry, not just until the
+// expiry instant, and a duplicate heard later pushes the expiry out. A
+// bare host injects the RREQs; a forward by the daemon (HELLOs are off)
+// shows that it handled the RREQ as new.
+class AodvRreqCache : public ::testing::Test {
+ protected:
+  AodvRreqCache() : sim_(7), medium_(sim_, net::RadioConfig{}) {
+    injector_.attach_radio(medium_, addr(0),
+                           std::make_shared<net::StaticMobility>(
+                               net::Position{0, 0}));
+    node_.attach_radio(medium_, addr(1),
+                       std::make_shared<net::StaticMobility>(
+                           net::Position{50, 0}));
+    AodvConfig config;
+    config.use_hello = false;
+    aodv_ = std::make_unique<Aodv>(node_, config);
+    aodv_->start();  // housekeeping ticks at 0.5 s, 1 s, ...
+  }
+
+  static Address addr(std::uint32_t i) {
+    return Address{net::kManetPrefix.value() + i + 1};
+  }
+
+  /// Injects RREQ `id` at `at`; true when the daemon forwarded it.
+  bool forwarded(std::uint32_t id, Duration at) {
+    sim_.run_until(TimePoint{} + at);
+    const std::uint64_t before = aodv_->stats().control_packets_sent;
+    aodv::Rreq rreq;
+    rreq.rreq_id = id;
+    rreq.ttl = 5;
+    rreq.dst = addr(9);  // unknown: the node cannot answer
+    rreq.orig = addr(0);
+    injector_.send_broadcast(net::kAodvPort, net::kAodvPort,
+                             aodv::encode(rreq, {}));
+    sim_.run_for(milliseconds(10));
+    return aodv_->stats().control_packets_sent > before;
+  }
+
+  sim::Simulator sim_;
+  net::RadioMedium medium_;
+  net::Host injector_{sim_, 0, "injector"};
+  net::Host node_{sim_, 1, "n1"};
+  std::unique_ptr<Aodv> aodv_;
+};
+
+TEST_F(AodvRreqCache, IdStaysDuplicateUntilTheTickAfterItsExpiry) {
+  const Duration ttl = AodvConfig{}.rreq_id_cache_ttl;
+  ASSERT_EQ(ttl, seconds(3));
+  EXPECT_TRUE(forwarded(1, milliseconds(1100)));  // expires at ~4.1 s
+  EXPECT_TRUE(forwarded(2, milliseconds(1101)));
+  // Past the expiry, before the 4.5 s tick: still a duplicate.
+  EXPECT_FALSE(forwarded(1, milliseconds(4200)));
+  // After the tick: new again.
+  EXPECT_TRUE(forwarded(2, milliseconds(4600)));
+}
+
+TEST_F(AodvRreqCache, LaterDuplicateSurvivesThePurgeOfTheFirstExpiry) {
+  EXPECT_TRUE(forwarded(5, milliseconds(1100)));   // expires at ~4.1 s
+  EXPECT_FALSE(forwarded(5, milliseconds(2100)));  // now at ~5.1 s
+  // The 4.5 s tick purged the first expiry only. This hearing pushes the
+  // expiry to ~7.6 s, so the 8 s tick forgets the id.
+  EXPECT_FALSE(forwarded(5, milliseconds(4600)));
+  EXPECT_TRUE(forwarded(5, milliseconds(8100)));
+}
+
 TEST(AodvTableTest, UpdateRules) {
   AodvTable table;
   const Address dst(10, 0, 0, 9);

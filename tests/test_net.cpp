@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <random>
+#include <tuple>
 
 #include "net/host.hpp"
 #include "net/internet.hpp"
@@ -372,6 +373,150 @@ TEST(RadioMediumTest, RangeBoundaryFollowsDistance) {
     EXPECT_EQ(got_b, expected);
     EXPECT_EQ(got_a, expected);
   }
+}
+
+// Radios attached straight to the medium at fixed positions along the x
+// axis; `deliver` and `unicast_failed` come from the caller.
+void attach_fixed(RadioMedium& medium, NodeId mac, double x,
+                  std::function<void(const Frame&)> deliver,
+                  std::function<void(const Frame&)> unicast_failed = {}) {
+  RadioAttachment att;
+  att.mac = mac;
+  att.address = Address(10, 0, 0, static_cast<std::uint8_t>(mac + 1));
+  att.position = [x] { return Position{x, 0}; };
+  att.deliver = std::move(deliver);
+  att.unicast_failed = std::move(unicast_failed);
+  att.fixed_position = true;
+  medium.attach(std::move(att));
+}
+
+// A frame's on-time receptions on one lane run as one kernel event, but
+// events_executed() still counts one per reception: `sim.events`, the
+// perfbench digests and the BENCH event counts depend on it. Checked on
+// the sequential kernel and on both executors of a 2-region sharded one:
+// a concurrent window, and windows serialized by scenario-lane events.
+TEST(RadioMediumTest, BroadcastCountsOneEventPerReception) {
+  constexpr NodeId kReceivers = 5;
+  enum class Mode { kSequential, kConcurrent, kSerial };
+  for (const Mode mode :
+       {Mode::kSequential, Mode::kConcurrent, Mode::kSerial}) {
+    sim::Simulator sim(1);
+    const bool sharded = mode != Mode::kSequential;
+    if (sharded) {
+      sim.enable_parallelism({.regions = 2, .lookahead = microseconds(500)});
+    }
+    RadioMedium medium(sim, RadioConfig{});
+    // Even MACs (the sender among them) on lane 1, odd ones on lane 2.
+    if (sharded) medium.configure_lanes([](NodeId mac) { return 1 + mac % 2; });
+    int received = 0;
+    for (NodeId mac = 0; mac <= kReceivers; ++mac) {
+      attach_fixed(medium, mac, 10.0 * mac,
+                   [&received](const Frame&) { ++received; });
+    }
+    std::uint64_t scheduled = 1;
+    {
+      const sim::Simulator::LaneScope scope(sim, sharded ? 1 : 0);
+      sim.schedule(milliseconds(1), [&medium] {
+        medium.transmit(Frame{0, kBroadcastMac, Datagram{}});
+      });
+    }
+    if (mode == Mode::kSerial) {
+      // Lane-0 events in the windows of the transmit and of the receptions
+      // (due ~545 us later) make both windows run serially.
+      sim.schedule(milliseconds(1), [] {});
+      sim.schedule(microseconds(1500), [] {});
+      scheduled += 2;
+    }
+    sim.run_for(milliseconds(10));
+    EXPECT_EQ(received, static_cast<int>(kReceivers));
+    EXPECT_EQ(sim.events_executed(), scheduled + kReceivers)
+        << "mode " << static_cast<int>(mode);
+  }
+}
+
+// Fault-injected receptions keep their exact order and timing: with
+// corruption, duplication and reordering all on, the (virtual us,
+// receiver, corrupted) sequence equals the one recorded when every
+// reception was an event of its own. The first frames reorder by under
+// 3 us, so some reordered copies truncate to 0 us and stay with their
+// frame's on-time receptions; the later ones reorder by up to 2 ms, past
+// the next frames. Receiver 1 schedules a zero-delay follow-up (logged as
+// 100) that must run after its frame's other on-time receptions. The
+// unicasts go to an in-range radio, an out-of-range one and an unknown
+// MAC; the sender's failure notices are logged as 200.
+TEST(RadioMediumTest, FaultInjectedReceptionsMatchTheGolden) {
+  sim::Simulator sim(5);
+  RadioMedium medium(sim, RadioConfig{});
+  FaultKnobs knobs;
+  knobs.corrupt_probability = 0.3;
+  knobs.duplicate_probability = 0.3;
+  knobs.reorder_probability = 0.4;
+  knobs.reorder_delay = microseconds(3);
+  medium.set_fault_knobs(knobs);
+  std::vector<std::tuple<std::int64_t, int, bool>> log;
+  const auto record = [&](int who, bool corrupted) {
+    log.emplace_back(sim.now().time_since_epoch().count(), who, corrupted);
+  };
+  constexpr NodeId kFar = 5;
+  for (NodeId mac = 0; mac <= kFar; ++mac) {
+    attach_fixed(
+        medium, mac, mac == kFar ? 500.0 : 20.0 * mac,
+        [&, mac](const Frame& f) {
+          record(static_cast<int>(mac), f.datagram.corrupted);
+          if (mac == 1) {
+            sim.schedule(Duration::zero(), [&] { record(100, false); });
+          }
+        },
+        [&](const Frame&) { record(200, false); });
+  }
+  const auto send = [&](TimePoint at, NodeId dst) {
+    sim.schedule_at(at, [&medium, dst] {
+      Frame frame{0, dst, Datagram{}};
+      frame.datagram.payload = to_bytes("payload");
+      medium.transmit(frame);
+    });
+  };
+  for (int k = 0; k < 4; ++k) {
+    send(TimePoint{} + milliseconds(k), kBroadcastMac);
+  }
+  sim.run_for(milliseconds(10));
+  knobs.reorder_delay = milliseconds(2);
+  medium.set_fault_knobs(knobs);
+  for (int k = 0; k < 4; ++k) {
+    send(sim.now() + microseconds(700 * k), kBroadcastMac);
+  }
+  send(sim.now() + milliseconds(4), 3);
+  send(sim.now() + milliseconds(5), kFar);
+  send(sim.now() + milliseconds(6), 42);
+  sim.run_for(milliseconds(20));
+
+  const std::vector<std::tuple<std::int64_t, int, bool>> golden = {
+      {550, 2, true}, {550, 4, false}, {551, 3, true},
+      {552, 1, false}, {552, 100, false}, {1050, 4, false},
+      {1052, 1, false}, {1052, 100, false}, {1550, 1, false},
+      {1550, 2, true}, {1550, 4, false}, {1550, 100, false},
+      {1552, 3, false}, {2550, 2, false}, {2550, 1, false},
+      {2550, 2, false}, {2550, 3, true}, {2550, 100, false},
+      {2552, 4, false}, {3052, 3, false}, {3550, 1, false},
+      {3550, 2, false}, {3550, 1, false}, {3550, 2, true},
+      {3550, 4, false}, {3550, 100, false}, {3550, 100, false},
+      {3551, 3, false}, {4050, 2, false}, {4051, 3, false},
+      {4550, 4, false}, {10550, 2, false}, {10550, 3, false},
+      {10550, 4, true}, {11250, 1, false}, {11250, 2, false},
+      {11250, 3, false}, {11250, 100, false}, {11715, 1, true},
+      {11715, 100, false}, {11950, 1, true}, {11950, 100, false},
+      {12250, 1, false}, {12250, 100, false}, {12602, 4, false},
+      {12650, 1, false}, {12650, 4, false}, {12650, 100, false},
+      {12933, 4, true}, {12982, 3, true}, {13433, 4, false},
+      {13708, 2, true}, {13775, 2, false}, {13845, 3, false},
+      {14550, 3, true}, {15550, 3, false}, {15550, 200, false},
+      {16550, 200, false},
+  };
+  EXPECT_EQ(log, golden);
+  const MediumStats& st = medium.stats();
+  EXPECT_GT(st.frames_corrupted, 0u);
+  EXPECT_GT(st.frames_duplicated, 0u);
+  EXPECT_GT(st.frames_reordered, 0u);
 }
 
 TEST_F(TwoNodeFixture, ForwardingDecrementsTtl) {

@@ -335,6 +335,45 @@ TEST_P(ManetSlpPurgeTest, NewerVersionWithEarlierExpiryLeavesOnTime) {
   EXPECT_EQ(dirs_[0]->cache_size(), 1u);
 }
 
+// An empty key (gateway discovery) matches every key of the type: the
+// lookup must weigh all of them, not only the first, and ignore the
+// neighbouring types that sort right before and after it.
+TEST_P(ManetSlpPurgeTest, EmptyKeyLookupWeighsEveryKeyOfTheType) {
+  build(1);
+  const TimePoint expires = sim_->now() + seconds(60);
+  const auto typed = [&](std::string type, std::string key,
+                         std::uint32_t version) {
+    ServiceEntry e = advert(std::move(key), version, expires);
+    e.type = std::move(type);
+    return e;
+  };
+  receive(typed("gw", "a", 1));
+  receive(typed("gw", "b", 5));
+  receive(typed("gw", "c", 3));
+  receive(typed("gv", "z", 9));
+  receive(typed("gwx", "", 9));
+  ASSERT_EQ(dirs_[0]->cache_size(), 5u);
+  const auto resolve = [&] {
+    std::optional<ServiceEntry> got;
+    dirs_[0]->lookup("gw", "", seconds(1), [&](std::optional<ServiceEntry> e) {
+      got = std::move(e);
+    });
+    sim_->run_for(milliseconds(10));
+    return got;
+  };
+  auto got = resolve();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->type, "gw");
+  EXPECT_EQ(got->key, "b");
+  EXPECT_EQ(got->version, 5u);
+  // A local registration wins over any cached version.
+  dirs_[0]->register_service("gw", "m", "local", minutes(1));
+  got = resolve();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->key, "m");
+  EXPECT_EQ(got->value, "local");
+}
+
 INSTANTIATE_TEST_SUITE_P(Plugins, ManetSlpPurgeTest,
                          ::testing::Values(Plugin::kAodv, Plugin::kOlsr),
                          [](const auto& info) {

@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
 """A/B wall-time comparison of two perfbench driver builds.
 
-    python3 tools/perf_ab.py BASE NEW --workload NAME --seed N \
+    python3 tools/perf_ab.py BASE NEW --workload NAME --seed N[,N...] \
         [--sim-threads T] [--pairs K]
 
 BASE and NEW are source trees whose perfbench driver is already built
 (python3 perfbench/run.py builds it into <tree>/.bench_build/perfbench), or
-paths to perfbench_driver binaries. The two drivers run in K alternating
-pairs (BASE first in even pairs, NEW first in odd ones), one process each,
-so slow drift of a shared host hits both sides alike.
+paths to perfbench_driver binaries. For each seed in turn, the two drivers
+run in K alternating pairs (BASE first in even pairs, NEW first in odd
+ones), one process each, so slow drift of a shared host hits both sides
+alike.
 
-Prints, for every end-to-end metric and for the child's user CPU time, the
-median of each side, the median of the per-pair ratios NEW / BASE and the
-number of pairs NEW won (lower is better for all of them). Exits 1 when the
-virtual outputs differ -- any digest of NEW differs from BASE's, or a run
-reports failed operations or failed checks -- or a driver exits non-zero,
-and 2 on usage errors (including a missing driver).
+Prints, per seed and for every end-to-end metric and the child's user CPU
+time, the median of each side, the median of the per-pair ratios NEW / BASE
+and the number of pairs NEW won (lower is better for all of them); then one
+run_s row per seed with both sides' quartiles. Exits 1 when the virtual
+outputs differ -- on any seed, a digest of NEW differs from BASE's, or a
+run reports failed operations or failed checks -- or a driver exits
+non-zero, and 2 on usage errors (including a missing driver).
 """
 
 import argparse
@@ -41,9 +43,9 @@ def driver_path(arg):
     return path
 
 
-def run_once(driver, args):
+def run_once(driver, args, seed):
     """One driver process: its result JSON plus the child's user CPU."""
-    cmd = [str(driver), "--workload", args.workload, "--seed", str(args.seed),
+    cmd = [str(driver), "--workload", args.workload, "--seed", str(seed),
            "--trace", "0"]
     if args.sim_threads is not None:
         cmd += ["--sim-threads", str(args.sim_threads)]
@@ -60,32 +62,30 @@ def run_once(driver, args):
     return result, metrics
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base")
-    parser.add_argument("new")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--sim-threads", type=int)
-    parser.add_argument("--pairs", type=int, default=8)
-    args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    drivers = {"base": driver_path(args.base), "new": driver_path(args.new)}
+def quartiles(values):
+    """(q1, median, q3); a single value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
 
+
+def run_seed(drivers, args, seed):
+    """K alternating pairs on one seed: samples per side, and problems."""
     samples = {"base": [], "new": []}
     digests = {"base": set(), "new": set()}
     problems = []
     for k in range(args.pairs):
         order = ("base", "new") if k % 2 == 0 else ("new", "base")
         for side in order:
-            result, metrics = run_once(drivers[side], args)
+            result, metrics = run_once(drivers[side], args, seed)
             samples[side].append(metrics)
             digests[side].add(result["digest"])
             if result["failed"] or not result["checks_ok"]:
-                problems.append(f"{side} pair {k}: {result['failed']} failed, "
+                problems.append(f"seed {seed} {side} pair {k}: "
+                                f"{result['failed']} failed, "
                                 f"problems {result['problems']}")
-        print(f"pair {k + 1}/{args.pairs}: run_s base "
+        print(f"seed {seed} pair {k + 1}/{args.pairs}: run_s base "
               f"{samples['base'][-1]['run_s']:.4f} new "
               f"{samples['new'][-1]['run_s']:.4f}", flush=True)
 
@@ -102,7 +102,45 @@ def main():
     print(f"digests: base {', '.join(sorted(digests['base']))}; "
           f"new {', '.join(sorted(digests['new']))}")
     if digests["base"] != digests["new"] or len(digests["base"]) != 1:
-        problems.append("virtual outputs differ")
+        problems.append(f"seed {seed}: virtual outputs differ")
+    return samples, problems
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base")
+    parser.add_argument("new")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", required=True,
+                        help="one seed, or several separated by commas")
+    parser.add_argument("--sim-threads", type=int)
+    parser.add_argument("--pairs", type=int, default=8)
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    try:
+        seeds = [int(s) for s in args.seed.split(",")]
+    except ValueError:
+        parser.error("--seed takes integers separated by commas")
+    drivers = {"base": driver_path(args.base), "new": driver_path(args.new)}
+
+    rows = []
+    problems = []
+    for seed in seeds:
+        samples, seed_problems = run_seed(drivers, args, seed)
+        problems += seed_problems
+        base = [s["run_s"] for s in samples["base"]]
+        new = [s["run_s"] for s in samples["new"]]
+        rows.append((seed, quartiles(base), quartiles(new),
+                     statistics.median(n / b for b, n in zip(base, new)),
+                     sum(n < b for b, n in zip(base, new))))
+
+    print(f"{'seed':>6}  {'base run_s q1 / median / q3':>28}  "
+          f"{'new run_s q1 / median / q3':>28}  {'new/base':>8}  won")
+    for seed, bq, nq, ratio, won in rows:
+        print(f"{seed:>6}  {bq[0]:8.4f} {bq[1]:9.4f} {bq[2]:9.4f}  "
+              f"{nq[0]:8.4f} {nq[1]:9.4f} {nq[2]:9.4f}  {ratio:8.3f}  "
+              f"{won}/{args.pairs}")
     for p in problems:
         print(f"CHECK FAILED: {p}")
     return 1 if problems else 0
