@@ -62,8 +62,8 @@ int main() {
   // Gateway Provider advertises, Connection Providers discover + tunnel.
   bed.run_for(seconds(15));
   std::printf("  gateway serving: %s, tunnel clients: %zu\n",
-              bed.stack(3).gateway_provider()->serving() ? "yes" : "no",
-              bed.stack(3).gateway_provider()->tunnel_server().client_count());
+              bed.stack(3).gateway_provider().serving() ? "yes" : "no",
+              bed.stack(3).gateway_provider().tunnel_server().client_count());
   std::printf("  leader online: %s   medic online: %s\n",
               bed.stack(0).internet_available() ? "yes" : "no",
               bed.stack(5).internet_available() ? "yes" : "no");

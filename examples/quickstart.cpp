@@ -68,11 +68,15 @@ int main(int argc, char** argv) {
   // delivered to Bob's phone, which rings and answers.
   std::printf("[step 5] alice dials bob@voicehoc.ch (INVITE -> local proxy)\n");
   const auto result = bed.call_and_wait(alice, "bob@voicehoc.ch");
+  const auto slp_count = [&](const char* name) -> unsigned long long {
+    const Counter* c = bed.ctx().metrics().find_counter(
+        name, bed.host(0).name(), "slp");
+    return c != nullptr ? c->value() : 0;
+  };
   std::printf("[step 6] proxy consulted MANET SLP (lookups: %llu, hits: %llu)\n",
-              static_cast<unsigned long long>(bed.stack(0).slp().stats().lookups),
-              static_cast<unsigned long long>(
-                  bed.stack(0).slp().stats().hits_local +
-                  bed.stack(0).slp().stats().hits_remote));
+              slp_count("slp.lookups_total"),
+              slp_count("slp.cache_hits_total") +
+                  slp_count("slp.remote_resolves_total"));
   std::printf("[step 7] INVITE forwarded across the MANET\n");
   std::printf("[step 8] call %s after %.1f ms\n\n",
               result.established ? "ESTABLISHED" : "FAILED",

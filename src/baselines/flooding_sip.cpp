@@ -62,7 +62,6 @@ void FloodingSipDirectory::deregister_service(const std::string& type,
 void FloodingSipDirectory::lookup(std::string type, std::string key,
                                   Duration timeout,
                                   slp::LookupCallback callback) {
-  ++stats_.lookups;
   const slp::ServiceEntry* best = nullptr;
   for (const auto& [k, e] : table_) {
     if (e.matches(type, key) && e.expires > now() &&
@@ -71,7 +70,6 @@ void FloodingSipDirectory::lookup(std::string type, std::string key,
     }
   }
   if (best != nullptr) {
-    ++stats_.hits_local;
     host_.sim().schedule(microseconds(1),
                          [callback = std::move(callback), e = *best] {
                            callback(e);
@@ -93,7 +91,6 @@ void FloodingSipDirectory::lookup(std::string type, std::string key,
     if (it == pending_.end()) return;
     auto cb = std::move(it->callback);
     pending_.erase(it);
-    ++stats_.misses;
     cb(std::nullopt);
   });
   pending_.push_back(std::move(pending));
@@ -243,7 +240,6 @@ void FloodingSipDirectory::resolve_pending(const slp::ServiceEntry& entry) {
       it->timeout.cancel();
       auto cb = std::move(it->callback);
       it = pending_.erase(it);
-      ++stats_.hits_remote;
       cb(entry);
     } else {
       ++it;

@@ -43,7 +43,6 @@ class FloodingSipDirectory final : public slp::Directory {
   void lookup(std::string type, std::string key, Duration timeout,
               slp::LookupCallback callback) override;
   std::vector<slp::ServiceEntry> snapshot() const override;
-  const DirectoryStats& stats() const override { return stats_; }
 
   std::uint64_t floods_originated() const { return floods_originated_; }
   std::uint64_t packets_sent() const { return packets_sent_; }
@@ -79,7 +78,6 @@ class FloodingSipDirectory final : public slp::Directory {
   std::uint64_t floods_originated_ = 0;
   std::uint64_t packets_sent_ = 0;
   sim::PeriodicTimer refresh_timer_;
-  DirectoryStats stats_;
 };
 
 /// UDP port for the baseline's dedicated flooding traffic.

@@ -45,7 +45,6 @@ void PicoSipDirectory::deregister_service(const std::string& type,
 void PicoSipDirectory::lookup(std::string type, std::string key,
                               Duration timeout,
                               slp::LookupCallback callback) {
-  ++stats_.lookups;
   const slp::ServiceEntry* best = nullptr;
   for (const auto& [k, e] : table_) {
     if (e.matches(type, key) && e.expires > now() &&
@@ -54,7 +53,6 @@ void PicoSipDirectory::lookup(std::string type, std::string key,
     }
   }
   if (best != nullptr) {
-    ++stats_.hits_local;
     host_.sim().schedule(microseconds(1),
                          [callback = std::move(callback), e = *best] {
                            callback(e);
@@ -75,7 +73,6 @@ void PicoSipDirectory::lookup(std::string type, std::string key,
     if (it == pending_.end()) return;
     auto cb = std::move(it->callback);
     pending_.erase(it);
-    ++stats_.misses;
     cb(std::nullopt);
   });
   pending_.push_back(std::move(pending));
@@ -160,7 +157,6 @@ void PicoSipDirectory::resolve_pending(const slp::ServiceEntry& entry) {
       it->timeout.cancel();
       auto cb = std::move(it->callback);
       it = pending_.erase(it);
-      ++stats_.hits_remote;
       cb(entry);
     } else {
       ++it;

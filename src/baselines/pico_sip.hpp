@@ -40,7 +40,6 @@ class PicoSipDirectory final : public slp::Directory {
   void lookup(std::string type, std::string key, Duration timeout,
               slp::LookupCallback callback) override;
   std::vector<slp::ServiceEntry> snapshot() const override;
-  const DirectoryStats& stats() const override { return stats_; }
 
   std::uint64_t packets_sent() const { return packets_sent_; }
 
@@ -72,7 +71,6 @@ class PicoSipDirectory final : public slp::Directory {
   std::uint64_t next_pending_id_ = 1;
   std::uint64_t packets_sent_ = 0;
   sim::PeriodicTimer hello_timer_;
-  DirectoryStats stats_;
 };
 
 inline constexpr std::uint16_t kPicoSipPort = 5091;

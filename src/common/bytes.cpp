@@ -51,6 +51,17 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
   return crc ^ 0xffffffffu;
 }
 
+void append_crc32(Bytes& out) { BufferWriter(out).u32(crc32(out)); }
+
+std::optional<std::span<const std::uint8_t>> verify_crc32(
+    std::span<const std::uint8_t> data) {
+  if (data.size() < 4) return std::nullopt;
+  const auto head = data.first(data.size() - 4);
+  const auto want = BufferReader(data.last(4)).u32();
+  if (!want || *want != crc32(head)) return std::nullopt;
+  return head;
+}
+
 Bytes to_bytes(std::string_view text) {
   return Bytes(text.begin(), text.end());
 }

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -171,6 +172,14 @@ class BufferReader {
 /// bit-corruption injector are rejected at decode instead of poisoning
 /// routing tables or SLP caches (see docs/RESILIENCE.md).
 std::uint32_t crc32(std::span<const std::uint8_t> data);
+
+/// Appends crc32(out) to `out` as a big-endian 4-byte trailer.
+void append_crc32(Bytes& out);
+
+/// The bytes a trailer written by append_crc32 covers; nullopt when `data`
+/// is shorter than the trailer or the trailer does not match them.
+std::optional<std::span<const std::uint8_t>> verify_crc32(
+    std::span<const std::uint8_t> data);
 
 /// Converts ASCII text to bytes (SIP messages travel as text over UDP).
 Bytes to_bytes(std::string_view text);

@@ -2,11 +2,14 @@
 //
 // Every layer of the stack reports into one registry so benches, examples
 // and tests read a single machine-readable surface instead of scraping
-// per-component stats structs. Three instrument kinds (counter, gauge,
-// histogram with fixed bucket boundaries) are labeled by (node, component)
-// -- the same pair a LogRecord carries -- and a ring-buffer tracer records
-// (t_start, t_end, component, node, name) spans for latency-shaped
-// quantities (route discovery, SLP resolution, INVITE transactions).
+// per-component stats structs: the proxy, tunnel, SLP and SIP transport
+// count events only here. (The routing, host and medium stats structs
+// remain as typed views the benches read.) Three instrument kinds
+// (counter, gauge, histogram with fixed bucket boundaries) are labeled by
+// (node, component) -- the same pair a LogRecord carries -- and a
+// ring-buffer tracer records (t_start, t_end, component, node, name) spans
+// for latency-shaped quantities (route discovery, SLP resolution, INVITE
+// transactions).
 //
 // Registries are per-simulation: each SimContext owns one (see
 // common/context.hpp and docs/METRICS.md "Per-simulation registries"),
@@ -19,8 +22,9 @@
 // simulator registers itself as the time source, so exports line up with
 // log lines and trace captures. Export is JSON and CSV; the schemas and
 // the full metric catalog are the contract documented in docs/METRICS.md
-// (CI validates both directions: sidecar names must be documented, and
-// documented source literals must exist).
+// (CI validates both directions: every name the code or a sidecar uses
+// must be documented, and every documented name must appear as a literal
+// in the code).
 #pragma once
 
 #include <cstdint>

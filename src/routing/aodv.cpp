@@ -50,10 +50,8 @@ void Aodv::start() {
       handle_link_break(*neighbor);
     }
   });
-  if (config_.use_hello) {
-    hello_timer_.start(host_.sim(), config_.hello_interval,
-                       [this] { send_hello(); }, milliseconds(100));
-  }
+  hello_timer_.start(host_.sim(), config_.hello_interval,
+                     [this] { send_hello(); }, milliseconds(100));
   housekeeping_timer_.start(host_.sim(), milliseconds(500), [this] {
     table_.expire(now());
     check_neighbors();
@@ -105,17 +103,21 @@ std::size_t Aodv::buffered_count() const {
 // TX
 // --------------------------------------------------------------------------
 
+void Aodv::count_tx(std::size_t wire_bytes, std::size_t ext_bytes) {
+  ++stats_.control_packets_sent;
+  stats_.control_bytes_sent += wire_bytes;
+  stats_.extension_bytes_sent += ext_bytes;
+  metrics_.routing.control_packets.add();
+  metrics_.routing.control_bytes.add(wire_bytes);
+  metrics_.routing.piggyback_bytes.add(ext_bytes);
+}
+
 void Aodv::send_packet(const aodv::Message& message, net::Address unicast_to,
                        const PacketInfo& info) {
   Bytes ext;
   if (handler_ != nullptr) ext = handler_->on_outgoing(info);
   Bytes wire = aodv::encode(message, ext);
-  ++stats_.control_packets_sent;
-  stats_.control_bytes_sent += wire.size();
-  stats_.extension_bytes_sent += ext.size();
-  metrics_.routing.control_packets.add();
-  metrics_.routing.control_bytes.add(wire.size());
-  metrics_.routing.piggyback_bytes.add(ext.size());
+  count_tx(wire.size(), ext.size());
   switch (info.kind) {
     case PacketKind::kAodvHello: metrics_.hello_tx.add(); break;
     case PacketKind::kAodvRrep: metrics_.rrep_tx.add(); break;
@@ -138,49 +140,22 @@ void Aodv::broadcast_rreq(Rreq rreq, const Bytes& query_ext) {
   // merged after whatever the handler wanted to piggyback anyway.
   ext.insert(ext.end(), query_ext.begin(), query_ext.end());
   Bytes wire = aodv::encode(rreq, ext);
-  ++stats_.control_packets_sent;
-  stats_.control_bytes_sent += wire.size();
-  stats_.extension_bytes_sent += ext.size();
-  metrics_.routing.control_packets.add();
-  metrics_.routing.control_bytes.add(wire.size());
-  metrics_.routing.piggyback_bytes.add(ext.size());
+  count_tx(wire.size(), ext.size());
   metrics_.rreq_originated.add();
   host_.send_broadcast(net::kAodvPort, net::kAodvPort, std::move(wire));
 }
 
 void Aodv::send_hello() {
   // RFC 3561 6.9: HELLO is an RREP with dst = self and hop count 0.
-  const PacketInfo info{PacketKind::kAodvHello, self(), self()};
-  Bytes ext;
-  if (handler_ != nullptr) ext = handler_->on_outgoing(info);
-  const auto lifetime = static_cast<std::uint32_t>(
+  Rrep hello;
+  hello.dst = self();
+  hello.dst_seqno = seqno_;
+  hello.hop_count = 0;
+  hello.lifetime_ms = static_cast<std::uint32_t>(
       to_millis(config_.allowed_hello_loss * config_.hello_interval));
-  // HELLO inputs change rarely (seqno on discovery activity, the piggyback
-  // block on SLP churn); steady-state beacons reuse the previous wire
-  // image instead of re-encoding every interval.
-  if (!hello_wire_valid_ || hello_wire_seqno_ != seqno_ ||
-      hello_wire_lifetime_ != lifetime || hello_wire_ext_ != ext) {
-    Rrep hello;
-    hello.dst = self();
-    hello.dst_seqno = seqno_;
-    hello.hop_count = 0;
-    hello.lifetime_ms = lifetime;
-    hello.is_hello = true;
-    hello_wire_ = aodv::encode(hello, ext);
-    hello_wire_ext_ = ext;
-    hello_wire_seqno_ = seqno_;
-    hello_wire_lifetime_ = lifetime;
-    hello_wire_valid_ = true;
-  }
-  Bytes wire = hello_wire_;  // the send path consumes its buffer
-  ++stats_.control_packets_sent;
-  stats_.control_bytes_sent += wire.size();
-  stats_.extension_bytes_sent += ext.size();
-  metrics_.routing.control_packets.add();
-  metrics_.routing.control_bytes.add(wire.size());
-  metrics_.routing.piggyback_bytes.add(ext.size());
-  metrics_.hello_tx.add();
-  host_.send_broadcast(net::kAodvPort, net::kAodvPort, std::move(wire));
+  hello.is_hello = true;
+  send_packet(hello, net::Address{},
+              PacketInfo{PacketKind::kAodvHello, self(), self()});
 }
 
 // --------------------------------------------------------------------------
@@ -250,12 +225,7 @@ void Aodv::handle_rreq(const Rreq& m, const Bytes& ext, net::Address from) {
       reply.lifetime_ms =
           static_cast<std::uint32_t>(to_millis(config_.my_route_timeout()));
       Bytes wire = aodv::encode(reply, verdict.reply_extension);
-      ++stats_.control_packets_sent;
-      stats_.control_bytes_sent += wire.size();
-      stats_.extension_bytes_sent += verdict.reply_extension.size();
-      metrics_.routing.control_packets.add();
-      metrics_.routing.control_bytes.add(wire.size());
-      metrics_.routing.piggyback_bytes.add(verdict.reply_extension.size());
+      count_tx(wire.size(), verdict.reply_extension.size());
       metrics_.rrep_tx.add();
       host_.send_udp(net::kAodvPort, {from, net::kAodvPort}, std::move(wire));
       return;  // answered floods are not propagated further by this node
@@ -306,10 +276,7 @@ void Aodv::handle_rreq(const Rreq& m, const Bytes& ext, net::Address from) {
   // flood); the local handler's own outgoing piggyback is not re-added to
   // forwarded packets to keep flood size bounded.
   Bytes wire = aodv::encode(fwd, ext);
-  ++stats_.control_packets_sent;
-  stats_.control_bytes_sent += wire.size();
-  metrics_.routing.control_packets.add();
-  metrics_.routing.control_bytes.add(wire.size());
+  count_tx(wire.size(), 0);
   metrics_.rreq_forwarded.add();
   host_.send_broadcast(net::kAodvPort, net::kAodvPort, std::move(wire));
 }
@@ -358,12 +325,7 @@ void Aodv::handle_rrep(const Rrep& m, const Bytes& ext, net::Address from) {
   const AodvRoute* forward = table_.find(m.dst);
   if (forward != nullptr) table_.add_precursor(m.orig, forward->next_hop);
   Bytes wire = aodv::encode(fwd, ext);
-  ++stats_.control_packets_sent;
-  stats_.control_bytes_sent += wire.size();
-  stats_.extension_bytes_sent += ext.size();
-  metrics_.routing.control_packets.add();
-  metrics_.routing.control_bytes.add(wire.size());
-  metrics_.routing.piggyback_bytes.add(ext.size());
+  count_tx(wire.size(), ext.size());
   host_.send_udp(net::kAodvPort, {reverse->next_hop, net::kAodvPort},
                  std::move(wire));
 }
@@ -507,7 +469,6 @@ void Aodv::on_neighbor_heard(net::Address neighbor) {
 }
 
 void Aodv::check_neighbors() {
-  if (!config_.use_hello) return;
   const Duration max_silence =
       config_.allowed_hello_loss * config_.hello_interval +
       milliseconds(300);

@@ -36,7 +36,6 @@ struct AodvConfig {
   int ttl_threshold = 7;
   std::size_t max_buffered_per_dst = 16;
   Duration rreq_id_cache_ttl = seconds(3);
-  bool use_hello = true;
 
   Duration net_traversal_time() const {
     return 2 * node_traversal_time * net_diameter;
@@ -96,6 +95,9 @@ class Aodv final : public Protocol {
   // --- packet TX ---------------------------------------------------------
   void send_packet(const aodv::Message& message, net::Address unicast_to,
                    const PacketInfo& info);
+  /// Counts one transmitted control packet of `wire_bytes`, `ext_bytes` of
+  /// them piggybacked extension, in the stats and the registry.
+  void count_tx(std::size_t wire_bytes, std::size_t ext_bytes);
   void broadcast_rreq(aodv::Rreq rreq, const Bytes& query_ext);
   void send_hello();
 
@@ -152,15 +154,6 @@ class Aodv final : public Protocol {
   sim::PeriodicTimer housekeeping_timer_;
   RoutingStats stats_;
   Metrics metrics_;
-
-  // HELLO wire-image cache: beacons re-encode only when an input (seqno,
-  // lifetime, piggyback block) changed since the last one. Mirrors the
-  // input-snapshot early-out OLSR's route calculation uses.
-  Bytes hello_wire_;
-  Bytes hello_wire_ext_;
-  std::uint32_t hello_wire_seqno_ = 0;
-  std::uint32_t hello_wire_lifetime_ = 0;
-  bool hello_wire_valid_ = false;
 };
 
 }  // namespace siphoc::routing

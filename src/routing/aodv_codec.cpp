@@ -123,18 +123,15 @@ Bytes encode(const Message& message, std::span<const std::uint8_t> extension) {
   // Integrity trailer over everything above: a bit-flipped packet (chaos
   // engine corruption, hostile peer) fails here before any field is
   // believed, so it can never seed a routing-table or SLP-cache entry.
-  w.u32(crc32(out));
+  append_crc32(out);
   return out;
 }
 
 Result<Decoded> decode(std::span<const std::uint8_t> packet) {
   if (packet.size() < 4) return fail("aodv: packet shorter than CRC trailer");
-  const std::span<const std::uint8_t> head = packet.first(packet.size() - 4);
-  BufferReader trailer(packet.subspan(packet.size() - 4));
-  if (const auto want = trailer.u32(); !want || *want != crc32(head)) {
-    return fail("aodv: CRC mismatch");
-  }
-  BufferReader r(head);
+  const auto head = verify_crc32(packet);
+  if (!head) return fail("aodv: CRC mismatch");
+  BufferReader r(*head);
   auto type = r.u8();
   if (!type) return type.error();
 

@@ -114,18 +114,15 @@ Bytes encode(const Packet& packet) {
   for (const auto& m : packet.messages) encode_message(w, m);
   // Integrity trailer (see aodv_codec.cpp): corrupted packets must fail
   // decode as a whole rather than poison the topology set.
-  w.u32(crc32(out));
+  append_crc32(out);
   return out;
 }
 
 Result<Packet> decode(std::span<const std::uint8_t> data) {
   if (data.size() < 4) return fail("olsr: packet shorter than CRC trailer");
-  const std::span<const std::uint8_t> head = data.first(data.size() - 4);
-  BufferReader trailer(data.subspan(data.size() - 4));
-  if (const auto want = trailer.u32(); !want || *want != crc32(head)) {
-    return fail("olsr: CRC mismatch");
-  }
-  BufferReader r(head);
+  const auto head = verify_crc32(data);
+  if (!head) return fail("olsr: CRC mismatch");
+  BufferReader r(*head);
   Packet p;
   auto seq = r.u16();
   if (!seq) return seq.error();

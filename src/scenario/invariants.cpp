@@ -140,9 +140,7 @@ void InvariantMonitor::check_reattaches() {
 
   for (std::size_t i = 0; i < bed_.size(); ++i) {
     if (!bed_.node_alive(i) || bed_.host(i).has_wired()) continue;
-    auto* provider = bed_.stack(i).connection_provider();
-    if (!provider) continue;
-    if (!provider->internet_available()) {
+    if (!bed_.stack(i).connection_provider().internet_available()) {
       violate("reattaches", bed_.host(i).name(),
               bed_.host(i).name() +
                   " is offline despite a live gateway and " +

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <vector>
 
 #include "common/md5.hpp"
@@ -12,15 +11,6 @@
 #include "sip/p2p_resolver.hpp"
 
 namespace siphoc::sip {
-
-namespace {
-
-/// Wall-clock store-lookup buckets, nanoseconds: a hash probe lands in the
-/// double digits, a map walk over millions in the thousands.
-constexpr double kLookupNsBuckets[] = {50,   100,   250,   500,   1000,
-                                       2500, 5000,  10000, 25000, 100000};
-
-}  // namespace
 
 Registrar::Registrar(net::Host& host, RegistrarConfig config)
     : host_(host),
@@ -100,26 +90,9 @@ void Registrar::maintenance_tick() {
   }
 }
 
-std::optional<Registrar::Binding> Registrar::store_lookup(
-    const std::string& aor) const {
-  if (!config_.measure_lookup_wall) {
-    return store_->lookup(aor, host_.sim().now());
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  auto result = store_->lookup(aor, host_.sim().now());
-  const auto t1 = std::chrono::steady_clock::now();
-  host_.sim().ctx().metrics()
-      .histogram("registrar.lookup_ns", kLookupNsBuckets, config_.domain,
-                 "registrar")
-      .observe(static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-              .count()));
-  return result;
-}
-
 std::optional<Registrar::Binding> Registrar::binding(
     const std::string& aor) const {
-  return store_lookup(aor);
+  return store_->lookup(aor, host_.sim().now());
 }
 
 std::size_t Registrar::binding_count() const { return store_->size(); }
@@ -312,7 +285,7 @@ void Registrar::forward_request(Message request, net::Endpoint from) {
     });
     return;
   }
-  forward_to_binding(std::move(request), from, store_lookup(aor));
+  forward_to_binding(std::move(request), from, binding(aor));
 }
 
 void Registrar::forward_to_binding(Message request, net::Endpoint from,

@@ -55,11 +55,6 @@ struct RegistrarConfig {
   std::size_t nonce_cap = 4096;
   /// Cadence of the maintenance tick (nonce purge + expiry-wheel turn).
   Duration maintenance_interval = seconds(1);
-  /// Sample wall-clock store-lookup latency into `registrar.lookup_ns`.
-  /// Off by default: wall time is nondeterministic, and identity-checked
-  /// sidecars must stay byte-equal across --sim-threads. bench_registrar
-  /// turns it on.
-  bool measure_lookup_wall = false;
 };
 
 class Registrar {
@@ -107,7 +102,6 @@ class Registrar {
   void maintenance_tick();
   std::uint64_t read_counter(const char* name) const;
   Counter& counter(const char* name);
-  std::optional<Binding> store_lookup(const std::string& aor) const;
 
   net::Host& host_;
   RegistrarConfig config_;

@@ -113,11 +113,7 @@ ShardedBindingStore::ShardedBindingStore()
 ShardedBindingStore::ShardedBindingStore(Config config)
     : config_(config) {
   config_.shards = std::max<std::size_t>(1, config_.shards);
-  config_.virtual_nodes = std::max<std::size_t>(1, config_.virtual_nodes);
   config_.wheel_slots = std::max<std::size_t>(2, config_.wheel_slots);
-  if (config_.wheel_granularity <= Duration::zero()) {
-    config_.wheel_granularity = seconds(1);
-  }
   const std::size_t capacity =
       round_up_pow2(std::max<std::size_t>(8, config_.initial_capacity));
   shards_.reserve(config_.shards);
@@ -130,11 +126,11 @@ ShardedBindingStore::ShardedBindingStore(Config config)
   wheel_cursor_.assign(config_.shards, 0);
   wheel_floor_.assign(config_.shards, TimePoint{});
 
-  // Consistent-hash ring: virtual_nodes points per shard, placed by mixing
+  // Consistent-hash ring: kVirtualNodes points per shard, placed by mixing
   // (shard, replica). Lookup walks clockwise to the next point.
-  ring_.reserve(config_.shards * config_.virtual_nodes);
+  ring_.reserve(config_.shards * kVirtualNodes);
   for (std::size_t s = 0; s < config_.shards; ++s) {
-    for (std::size_t v = 0; v < config_.virtual_nodes; ++v) {
+    for (std::size_t v = 0; v < kVirtualNodes; ++v) {
       const std::uint64_t point =
           splitmix64((static_cast<std::uint64_t>(s) << 32) | v);
       ring_.emplace_back(point, static_cast<std::uint32_t>(s));
@@ -273,7 +269,7 @@ void ShardedBindingStore::grow(Shard& shard) {
 }
 
 std::size_t ShardedBindingStore::wheel_index(TimePoint expires) const {
-  const auto ticks = expires.time_since_epoch() / config_.wheel_granularity;
+  const auto ticks = expires.time_since_epoch() / kWheelGranularity;
   return static_cast<std::size_t>(ticks) % config_.wheel_slots;
 }
 
@@ -395,10 +391,10 @@ std::size_t ShardedBindingStore::purge_expired(TimePoint now) {
     // fully elapsed granules advance the cursor -- the granule containing
     // `now` is drained in place (items due mid-granule must not wait a
     // whole wheel lap) but stays current until it fully elapses.
-    while (wheel_floor_[s] + config_.wheel_granularity <= now) {
+    while (wheel_floor_[s] + kWheelGranularity <= now) {
       drain(shard.wheel[wheel_cursor_[s]]);
       wheel_cursor_[s] = (wheel_cursor_[s] + 1) % config_.wheel_slots;
-      wheel_floor_[s] += config_.wheel_granularity;
+      wheel_floor_[s] += kWheelGranularity;
     }
     if (wheel_floor_[s] <= now) drain(shard.wheel[wheel_cursor_[s]]);
     collect(shard);

@@ -108,14 +108,11 @@ class ShardedBindingStore final : public BindingStore {
  public:
   struct Config {
     std::size_t shards = 8;
-    /// Ring points per shard; more points -> smoother distribution.
-    std::size_t virtual_nodes = 32;
     /// Initial slots per shard (rounded up to a power of two).
     std::size_t initial_capacity = 64;
-    /// Timer-wheel geometry: `wheel_slots` buckets of `wheel_granularity`
-    /// each; bindings further out than the wheel horizon go to the last
-    /// bucket and are re-examined when it comes due.
-    Duration wheel_granularity = seconds(1);
+    /// Timer-wheel size: `wheel_slots` buckets of kWheelGranularity each;
+    /// bindings further out than the wheel horizon go to the last bucket
+    /// and are re-examined when it comes due.
     std::size_t wheel_slots = 4096;
   };
 
@@ -148,6 +145,9 @@ class ShardedBindingStore final : public BindingStore {
  private:
   static constexpr std::uint64_t kIdleEpoch = ~0ull;
   static constexpr std::size_t kMaxReaders = 256;
+  /// Ring points per shard; more points -> smoother distribution.
+  static constexpr std::size_t kVirtualNodes = 32;
+  static constexpr Duration kWheelGranularity = seconds(1);
 
   /// Immutable once published; replaced wholesale on refresh.
   struct Entry {

@@ -15,8 +15,6 @@ Transport::~Transport() { host_.unbind(port_); }
 
 void Transport::send(const Message& message, net::Endpoint destination) {
   const std::string wire = message.serialize();
-  ++stats_.messages_sent;
-  stats_.bytes_sent += wire.size();
   log_.trace("TX to ", destination.to_string(), ": ", message.summary());
   host_.send_udp(port_, destination, to_bytes(wire));
 }
@@ -33,12 +31,10 @@ Result<void> Transport::send_response(const Message& response) {
 void Transport::on_datagram(const net::Datagram& d) {
   auto message = Message::parse(to_string(d.payload));
   if (!message) {
-    ++stats_.parse_errors;
     log_.warn("unparseable SIP datagram from ", d.source().to_string(), ": ",
               message.error().message);
     return;
   }
-  ++stats_.messages_received;
 
   // RFC 18.2.1: stamp `received` when the Via sent-by does not match the
   // packet source, so responses can retrace the actual path.

@@ -37,14 +37,6 @@ class Transport {
   std::uint16_t port() const { return port_; }
   net::Host& host() { return host_; }
 
-  struct TransportStats {
-    std::uint64_t messages_sent = 0;
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t messages_received = 0;
-    std::uint64_t parse_errors = 0;
-  };
-  const TransportStats& stats() const { return stats_; }
-
  private:
   void on_datagram(const net::Datagram& d);
 
@@ -52,7 +44,6 @@ class Transport {
   std::uint16_t port_;
   Logger log_;
   MessageHandler handler_;
-  TransportStats stats_;
 };
 
 }  // namespace siphoc::sip

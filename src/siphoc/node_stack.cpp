@@ -24,21 +24,14 @@ NodeStack::NodeStack(net::Host& host, net::Internet* internet,
     });
   }
 
-  if (config_.run_gateway_provider) {
-    gateway_ = std::make_unique<GatewayProvider>(host_, *slp_,
-                                                 config_.gateway);
-  }
-  if (config_.run_connection_provider) {
-    // Reachability flips reach the proxy: a re-attach may carry a fresh
-    // tunnel lease, and upstream provider bindings must follow it.
-    connection_ = std::make_unique<ConnectionProvider>(
-        host_, *slp_, config_.connection,
-        [this](bool online) { proxy_->on_internet_change(online); });
-  }
-  proxy_->set_internet_address_fn([this] {
-    if (connection_) return connection_->internet_address();
-    return host_.has_wired() ? host_.wired_address() : net::Address{};
-  });
+  gateway_ = std::make_unique<GatewayProvider>(host_, *slp_, config_.gateway);
+  // Reachability flips reach the proxy: a re-attach may carry a fresh
+  // tunnel lease, and upstream provider bindings must follow it.
+  connection_ = std::make_unique<ConnectionProvider>(
+      host_, *slp_, config_.connection,
+      [this](bool online) { proxy_->on_internet_change(online); });
+  proxy_->set_internet_address_fn(
+      [this] { return connection_->internet_address(); });
 }
 
 NodeStack::~NodeStack() { stop(); }
@@ -47,15 +40,15 @@ void NodeStack::start() {
   if (started_) return;
   started_ = true;
   routing_->start();
-  if (gateway_) gateway_->start();
-  if (connection_) connection_->start();
+  gateway_->start();
+  connection_->start();
 }
 
 void NodeStack::stop() {
   if (!started_) return;
   started_ = false;
-  if (connection_) connection_->stop();
-  if (gateway_) gateway_->stop();
+  connection_->stop();
+  gateway_->stop();
   routing_->stop();
 }
 

@@ -7,8 +7,11 @@
 //   * the SIPHoc proxy (outbound proxy for the local VoIP application),
 //   * the Gateway Provider (activates when the node has an uplink),
 //   * the Connection Provider (discovers gateways, maintains the tunnel).
-// The VoIP application itself (voip::SoftPhone) attaches on top through
-// nothing but the standard SIP interface on localhost:5060.
+// All five are always built; the gateway provider idles until the node has
+// an uplink, and the connection provider supplies the proxy's
+// Internet-visible address (a wired gateway's own address, or a tunnel
+// lease). The VoIP application itself (voip::SoftPhone) attaches on top
+// through nothing but the standard SIP interface on localhost:5060.
 //
 // This is the library's primary public entry point: construct a Host per
 // node, wrap it in a NodeStack, start() -- the node is a SIPHoc node.
@@ -37,8 +40,6 @@ struct NodeStackConfig {
   ProxyConfig proxy;
   GatewayProviderConfig gateway;
   ConnectionProviderConfig connection;
-  bool run_gateway_provider = true;
-  bool run_connection_provider = true;
 };
 
 class NodeStack {
@@ -59,12 +60,11 @@ class NodeStack {
   routing::Protocol& routing() { return *routing_; }
   slp::ManetSlp& slp() { return *slp_; }
   SiphocProxy& proxy() { return *proxy_; }
-  GatewayProvider* gateway_provider() { return gateway_.get(); }
-  ConnectionProvider* connection_provider() { return connection_.get(); }
+  GatewayProvider& gateway_provider() { return *gateway_; }
+  ConnectionProvider& connection_provider() { return *connection_; }
 
   bool internet_available() const {
-    return connection_ ? connection_->internet_available()
-                       : host_.has_wired();
+    return connection_->internet_available();
   }
 
  private:

@@ -30,7 +30,6 @@ SiphocProxy::SiphocProxy(net::Host& host, slp::Directory& directory,
 }
 
 SiphocProxy::~SiphocProxy() {
-  upstream_flush_.cancel();
   for (auto& timer : retry_timers_) timer.cancel();
 }
 
@@ -117,15 +116,6 @@ void SiphocProxy::handle_register(Message request, net::Endpoint from) {
     std::from_chars(h->data(), h->data() + h->size(), expires);
   }
 
-  // A pure refresh re-asserts an unexpired binding with the same contact;
-  // only those are eligible for upstream coalescing -- new registrations
-  // and contact changes must reach the provider (and the phone must see
-  // the provider's verdict) right away.
-  const auto prev = binding(user);
-  const bool is_refresh = prev.has_value() && contact &&
-                          contact->uri.numeric_endpoint() &&
-                          prev->contact == *contact->uri.numeric_endpoint();
-
   if (expires == 0) {
     bindings_.erase(user);
     upstream_replay_.erase(aor);
@@ -141,7 +131,6 @@ void SiphocProxy::handle_register(Message request, net::Endpoint from) {
     b.contact = *contact_ep;
     b.expires = host_.sim().now() + seconds(expires);
     bindings_[user] = std::move(b);
-    ++stats_.registrations;
     proxy_counter(host_, "proxy.registrations_total").add();
 
     // Step 2: advertise *this proxy's* MANET endpoint as the responsible
@@ -164,46 +153,12 @@ void SiphocProxy::handle_register(Message request, net::Endpoint from) {
       if (expires != 0) {
         // Keep the pristine REGISTER around: a later re-attach under a new
         // tunnel lease replays it so the provider learns the new contact.
-        upstream_replay_[aor] = PendingUpstream{request, *provider};
+        upstream_replay_[aor] = UpstreamRegister{request, *provider};
         last_upstream_inet_ = inet;
       }
-      if (is_refresh && expires != 0 &&
-          config_.upstream_refresh_window > Duration::zero()) {
-        // Coalesce: answer the phone locally, park the upstream relay --
-        // latest REGISTER per AOR wins -- and flush once per window. The
-        // provider's eventual 200 re-traverses a transaction the phone
-        // already completed and is absorbed as a retransmission. The
-        // upstream Expires is stretched to cover the window, so the
-        // provider binding outlives the gap between flushes even though
-        // the phone refreshes on its own shorter lifetime.
-        Message parked = request;
-        parked.set_header(
-            "expires",
-            std::to_string(expires + static_cast<std::uint32_t>(to_seconds(
-                                         config_.upstream_refresh_window))));
-        pending_upstream_[aor] = PendingUpstream{std::move(parked), *provider};
-        ++stats_.upstream_refreshes_coalesced;
-        proxy_counter(host_, "proxy.upstream_refreshes_coalesced_total").add();
-        if (!upstream_flush_scheduled_) {
-          upstream_flush_scheduled_ = true;
-          upstream_flush_ = host_.sim().schedule(
-              config_.upstream_refresh_window,
-              [this] { flush_upstream_refreshes(); });
-        }
-      } else {
-        Message upstream = request;
-        if (expires != 0 &&
-            config_.upstream_refresh_window > Duration::zero()) {
-          upstream.set_header(
-              "expires",
-              std::to_string(expires + static_cast<std::uint32_t>(to_seconds(
-                                           config_.upstream_refresh_window))));
-        }
-        ++stats_.upstream_registers;
-        proxy_counter(host_, "proxy.upstream_registers_total").add();
-        forward_request(std::move(upstream), *provider);
-        return;
-      }
+      proxy_counter(host_, "proxy.upstream_registers_total").add();
+      forward_request(std::move(request), *provider);
+      return;
     }
   }
 
@@ -212,23 +167,6 @@ void SiphocProxy::handle_register(Message request, net::Endpoint from) {
   ok.add_header("contact", contact->to_string() + ";expires=" +
                                std::to_string(expires));
   if (!transport_.send_response(ok)) transport_.send(ok, from);
-}
-
-void SiphocProxy::flush_upstream_refreshes() {
-  upstream_flush_scheduled_ = false;
-  if (pending_upstream_.empty()) return;
-  ++stats_.upstream_refresh_flushes;
-  proxy_counter(host_, "proxy.upstream_refresh_flushes_total").add();
-  auto pending = std::move(pending_upstream_);
-  pending_upstream_.clear();
-  const net::Address inet = current_internet_address();
-  for (auto& [aor, p] : pending) {
-    if (inet.is_unspecified()) break;  // went offline: drop, next refresh
-                                       // re-queues
-    ++stats_.upstream_registers;
-    proxy_counter(host_, "proxy.upstream_registers_total").add();
-    forward_request(std::move(p.request), p.provider);
-  }
 }
 
 void SiphocProxy::on_internet_change(bool online) {
@@ -246,9 +184,7 @@ void SiphocProxy::on_internet_change(bool online) {
       it = upstream_replay_.erase(it);
       continue;
     }
-    ++stats_.upstream_rebinds;
     proxy_counter(host_, "proxy.upstream_rebinds_total").add();
-    ++stats_.upstream_registers;
     proxy_counter(host_, "proxy.upstream_registers_total").add();
     log_.info("re-attached as ", inet.to_string(), "; rebinding ", it->first,
               " upstream");
@@ -293,8 +229,7 @@ void SiphocProxy::route_request(Message request, net::Endpoint from) {
       }
     }
     if (addressed_to_us) {
-      ++stats_.not_found;
-    proxy_counter(host_, "proxy.not_found_total").add();
+      proxy_counter(host_, "proxy.not_found_total").add();
       respond_error(request, 404, from);
       return;
     }
@@ -309,7 +244,6 @@ void SiphocProxy::route_request(Message request, net::Endpoint from) {
   // Steps 6-7: consult MANET SLP for the callee's proxy endpoint.
   const std::string aor = uri.aor();
   const std::string domain = uri.host;
-  ++stats_.slp_lookups;
   proxy_counter(host_, "proxy.slp_lookups_total").add();
   log_.info("resolving ", aor, " via MANET SLP");
   directory_.lookup(
@@ -319,7 +253,6 @@ void SiphocProxy::route_request(Message request, net::Endpoint from) {
         if (entry) {
           const auto ep = net::Endpoint::parse(entry->value);
           if (ep) {
-            ++stats_.slp_hits;
             proxy_counter(host_, "proxy.slp_hits_total").add();
             log_.info("SLP resolved ", request.request_uri().aor(), " -> ",
                       ep->to_string());
@@ -337,7 +270,6 @@ void SiphocProxy::forward_via_internet(Message request,
                                        net::Endpoint from) {
   const net::Address inet = current_internet_address();
   if (inet.is_unspecified()) {
-    ++stats_.not_found;
     proxy_counter(host_, "proxy.not_found_total").add();
     log_.info("cannot resolve ", request.request_uri().aor(),
               ": not in MANET, no Internet connectivity");
@@ -348,13 +280,11 @@ void SiphocProxy::forward_via_internet(Message request,
   // fix: some providers only accept requests through their own proxy).
   const auto provider = resolve_provider(domain);
   if (!provider) {
-    ++stats_.not_found;
     proxy_counter(host_, "proxy.not_found_total").add();
     log_.info("cannot resolve provider domain '", domain, "'");
     respond_error(request, 404, from);
     return;
   }
-  ++stats_.internet_forwards;
   proxy_counter(host_, "proxy.internet_forwards_total").add();
 
   // Park a pre-Via copy so a 480 + Retry-After from the provider (its P2P
@@ -378,7 +308,6 @@ void SiphocProxy::forward_via_internet(Message request,
 }
 
 void SiphocProxy::deliver_to_local(Message request, const Binding& binding) {
-  ++stats_.delivered_local;
   proxy_counter(host_, "proxy.delivered_local_total").add();
   sip::Via via;
   via.host = net::kLoopbackAddress.to_string();
@@ -401,7 +330,6 @@ void SiphocProxy::forward_request(Message request, net::Endpoint dst) {
       std::string(sip::kBranchCookie) + "phoc" +
       std::to_string(++branch_counter_);
   request.push_via(via);
-  ++stats_.requests_forwarded;
   proxy_counter(host_, "proxy.requests_forwarded_total").add();
   transport_.send(request, dst);
 }
@@ -439,7 +367,6 @@ void SiphocProxy::forward_response(Message response) {
         const auto [ptr, ec] = std::from_chars(
             after->data(), after->data() + after->size(), parsed);
         if (ec == std::errc{} && parsed > 0 && parsed <= 16) delay_s = parsed;
-        ++stats_.retry_after_retries;
         proxy_counter(host_, "proxy.retry_after_retries_total").add();
         log_.info("provider asked to retry ",
                   parked.request.request_uri().aor(), " after ", delay_s,

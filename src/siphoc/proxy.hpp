@@ -46,14 +46,6 @@ struct ProxyConfig {
   /// the provider's proxy endpoint per domain lets the SIPHoc proxy relay
   /// through it instead.
   std::map<std::string, net::Endpoint> provider_outbound_proxies;
-  /// Upstream REGISTER refresh coalescing. Zero (default) relays every
-  /// REGISTER upstream immediately, as before. A positive window answers
-  /// pure *refreshes* (same user, same contact, binding still unexpired)
-  /// locally with 200 and batches the upstream relays: per window at most
-  /// one burst goes out, carrying only the latest REGISTER per AOR -- so a
-  /// provider facing thousands of phones sees one refresh per phone per
-  /// window instead of one per refresh timer firing.
-  Duration upstream_refresh_window = Duration::zero();
 };
 
 class SiphocProxy {
@@ -83,22 +75,6 @@ class SiphocProxy {
     return {host_.manet_address(), config_.port};
   }
 
-  struct ProxyStats {
-    std::uint64_t registrations = 0;
-    std::uint64_t upstream_registers = 0;
-    std::uint64_t requests_forwarded = 0;
-    std::uint64_t slp_lookups = 0;
-    std::uint64_t slp_hits = 0;
-    std::uint64_t internet_forwards = 0;
-    std::uint64_t not_found = 0;
-    std::uint64_t delivered_local = 0;
-    std::uint64_t upstream_refreshes_coalesced = 0;
-    std::uint64_t upstream_refresh_flushes = 0;
-    std::uint64_t retry_after_retries = 0;
-    std::uint64_t upstream_rebinds = 0;
-  };
-  const ProxyStats& stats() const { return stats_; }
-
   struct Binding {
     std::string aor;
     net::Endpoint contact;  // the local VoIP app (loopback)
@@ -118,9 +94,6 @@ class SiphocProxy {
   void forward_response(sip::Message response);
   void respond_error(const sip::Message& request, int status,
                      net::Endpoint from);
-
-  /// Sends every pending coalesced upstream REGISTER as one burst.
-  void flush_upstream_refreshes();
 
   bool egress_is_internet(net::Address dst) const;
   net::Address current_internet_address() const;
@@ -142,23 +115,16 @@ class SiphocProxy {
 
   std::map<std::string, Binding> bindings_;  // by user name
   std::uint64_t branch_counter_ = 0;
-  ProxyStats stats_;
-
-  // Coalesced upstream refreshes, latest REGISTER per AOR, flushed in one
-  // burst when the window timer fires.
-  struct PendingUpstream {
-    sip::Message request;
-    net::Endpoint provider;
-  };
-  std::map<std::string, PendingUpstream> pending_upstream_;
-  bool upstream_flush_scheduled_ = false;
-  sim::EventHandle upstream_flush_;
 
   // Last REGISTER relayed upstream per AOR (pre-Via, pre-rewrite), kept so
   // a re-attach under a fresh tunnel lease can replay it -- the provider
   // would otherwise keep serving the dead address until the phone's own
   // refresh, hours later.
-  std::map<std::string, PendingUpstream> upstream_replay_;
+  struct UpstreamRegister {
+    sip::Message request;
+    net::Endpoint provider;
+  };
+  std::map<std::string, UpstreamRegister> upstream_replay_;
   net::Address last_upstream_inet_;
 
   // Internet-forwarded requests kept around briefly so a provider's

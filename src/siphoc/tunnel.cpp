@@ -22,25 +22,22 @@ Bytes encode_frame(MsgType type, std::span<const std::uint8_t> payload) {
   BufferWriter w(out);
   w.u8(static_cast<std::uint8_t>(type));
   w.raw(payload);
-  w.u32(crc32(out));
+  append_crc32(out);
   return out;
 }
 
 Result<Decoded> decode_frame(std::span<const std::uint8_t> data) {
   if (data.size() < 5) return fail("tunnel: frame shorter than header+CRC");
-  const std::span<const std::uint8_t> head = data.first(data.size() - 4);
-  BufferReader trailer(data.subspan(data.size() - 4));
-  if (const auto want = trailer.u32(); !want || *want != crc32(head)) {
-    return fail("tunnel: CRC mismatch");
-  }
-  const auto raw_type = head[0];
+  const auto head = verify_crc32(data);
+  if (!head) return fail("tunnel: CRC mismatch");
+  const auto raw_type = (*head)[0];
   if (raw_type < static_cast<std::uint8_t>(MsgType::kConnect) ||
       raw_type > static_cast<std::uint8_t>(MsgType::kDisconnect)) {
     return fail("tunnel: unknown message type " + std::to_string(raw_type));
   }
   Decoded out;
   out.type = static_cast<MsgType>(raw_type);
-  out.payload.assign(head.begin() + 1, head.end());
+  out.payload.assign(head->begin() + 1, head->end());
   return out;
 }
 
@@ -152,8 +149,6 @@ void TunnelServer::on_packet(const net::Datagram& d) {
       const auto it = clients_.find(inner->src);
       if (it == clients_.end()) return;  // not a leased address: drop
       it->second.last_seen = host_.sim().now();
-      ++stats_.datagrams_to_internet;
-      stats_.bytes_relayed += inner->wire_size();
       tun_counter(host_, "tunnel.datagrams_up_total").add();
       tun_counter(host_, "tunnel.bytes_relayed_total")
           .add(inner->wire_size());
@@ -192,8 +187,6 @@ void TunnelServer::on_packet(const net::Datagram& d) {
 
 void TunnelServer::relay_to_client(const Client& client,
                                    const net::Datagram& inner) {
-  ++stats_.datagrams_to_clients;
-  stats_.bytes_relayed += inner.wire_size();
   tun_counter(host_, "tunnel.datagrams_down_total").add();
   tun_counter(host_, "tunnel.bytes_relayed_total")
       .add(inner.wire_size());

@@ -34,13 +34,6 @@ class TunnelServer {
 
   std::size_t client_count() const { return clients_.size(); }
 
-  struct TunnelStats {
-    std::uint64_t datagrams_to_internet = 0;
-    std::uint64_t datagrams_to_clients = 0;
-    std::uint64_t bytes_relayed = 0;
-  };
-  const TunnelStats& stats() const { return stats_; }
-
  private:
   struct Client {
     net::Address tunnel_address;
@@ -58,7 +51,6 @@ class TunnelServer {
   std::map<net::Address, Client> clients_;  // by tunnel address
   std::uint8_t next_client_octet_ = 1;
   sim::PeriodicTimer expiry_timer_;
-  TunnelStats stats_;
 };
 
 class TunnelClient {

@@ -9,6 +9,8 @@
 //                            the related work [7] measures as inefficient)
 // so the SIPHoc proxy and the gateway/connection providers are oblivious to
 // which discovery mechanism runs underneath (ablation seam for bench E2).
+// Lookup outcomes are counted in the simulation's metrics registry
+// (`slp.*` in docs/METRICS.md), not through this interface.
 #pragma once
 
 #include <functional>
@@ -43,14 +45,6 @@ class Directory {
   /// Everything this node currently knows (local + learned). The Figure 4
   /// state dump.
   virtual std::vector<ServiceEntry> snapshot() const = 0;
-
-  struct DirectoryStats {
-    std::uint64_t lookups = 0;
-    std::uint64_t hits_local = 0;   // answered from local/cache immediately
-    std::uint64_t hits_remote = 0;  // answered after a network round trip
-    std::uint64_t misses = 0;       // timed out
-  };
-  virtual const DirectoryStats& stats() const = 0;
 };
 
 }  // namespace siphoc::slp

@@ -64,10 +64,8 @@ void ManetSlp::deregister_service(const std::string& type,
 void ManetSlp::lookup(std::string type, std::string key, Duration timeout,
                       LookupCallback callback) {
   purge_expired();
-  ++stats_.lookups;
   metrics_.lookups.add();
   if (auto hit = find_match(type, key)) {
-    ++stats_.hits_local;
     metrics_.cache_hits.add();
     metrics_.registry->record_span("slp_resolve", "slp", host_.name(), now(),
                                    now());
@@ -93,7 +91,6 @@ void ManetSlp::lookup(std::string type, std::string key, Duration timeout,
     if (it == pending_.end()) return;
     auto cb = std::move(it->callback);
     pending_.erase(it);
-    ++stats_.misses;
     metrics_.lookup_timeouts.add();
     cb(std::nullopt);
   });
@@ -285,7 +282,6 @@ void ManetSlp::resolve_pending(const ServiceEntry& entry) {
       auto cb = std::move(it->callback);
       const TimePoint started = it->started;
       it = pending_.erase(it);
-      ++stats_.hits_remote;
       metrics_.remote_resolves.add();
       metrics_.resolve_ms.observe(to_millis(now() - started));
       metrics_.registry->record_span("slp_resolve", "slp", host_.name(),

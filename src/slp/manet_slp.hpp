@@ -77,7 +77,6 @@ class ManetSlp final : public Directory, public routing::RoutingHandler {
   void lookup(std::string type, std::string key, Duration timeout,
               LookupCallback callback) override;
   std::vector<ServiceEntry> snapshot() const override;
-  const DirectoryStats& stats() const override { return stats_; }
 
   // --- RoutingHandler ------------------------------------------------------
   Bytes on_outgoing(const routing::PacketInfo& info) override;
@@ -156,7 +155,6 @@ class ManetSlp final : public Directory, public routing::RoutingHandler {
   std::vector<PendingLookup> pending_;
   std::uint32_t next_query_id_ = 1;
   std::uint32_t version_counter_ = 1;
-  DirectoryStats stats_;
   Metrics metrics_;
 };
 

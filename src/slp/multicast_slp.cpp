@@ -44,11 +44,9 @@ void MulticastSlp::deregister_service(const std::string& type,
 
 void MulticastSlp::lookup(std::string type, std::string key, Duration timeout,
                           LookupCallback callback) {
-  ++stats_.lookups;
   // Local registrations answer immediately.
   for (const auto& [k, e] : local_) {
     if (e.matches(type, key) && e.expires > now()) {
-      ++stats_.hits_local;
       host_.sim().schedule(microseconds(1),
                            [callback = std::move(callback), e] {
                              callback(e);
@@ -74,7 +72,6 @@ void MulticastSlp::lookup(std::string type, std::string key, Duration timeout,
     if (it == pending_.end()) return;
     auto cb = std::move(it->callback);
     pending_.erase(it);
-    ++stats_.misses;
     cb(std::nullopt);
   });
   pending_.push_back(std::move(pending));
@@ -186,7 +183,6 @@ void MulticastSlp::handle_reply(const ServiceReply& reply) {
   it->timeout.cancel();
   auto cb = std::move(it->callback);
   pending_.erase(it);
-  ++stats_.hits_remote;
   cb(reply.entries.front());
 }
 

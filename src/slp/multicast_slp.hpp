@@ -40,7 +40,6 @@ class MulticastSlp final : public Directory {
   void lookup(std::string type, std::string key, Duration timeout,
               LookupCallback callback) override;
   std::vector<ServiceEntry> snapshot() const override;
-  const DirectoryStats& stats() const override { return stats_; }
 
   std::uint64_t packets_sent() const { return packets_sent_; }
 
@@ -69,7 +68,6 @@ class MulticastSlp final : public Directory {
   std::uint32_t next_xid_ = 1;
   std::uint32_t version_counter_ = 1;
   std::uint64_t packets_sent_ = 0;
-  DirectoryStats stats_;
 };
 
 }  // namespace siphoc::slp

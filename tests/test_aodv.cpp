@@ -190,8 +190,8 @@ TEST_F(AodvChain, StatsAccounting) {
 // The RREQ duplicate cache keeps an id until the first housekeeping tick
 // (every 500 ms from start()) at or after its expiry, not just until the
 // expiry instant, and a duplicate heard later pushes the expiry out. A
-// bare host injects the RREQs; a forward by the daemon (HELLOs are off)
-// shows that it handled the RREQ as new.
+// bare host injects the RREQs; a forward by the daemon (one more
+// `aodv.rreq_forwarded_total` on n1) shows that it handled the RREQ as new.
 class AodvRreqCache : public ::testing::Test {
  protected:
   AodvRreqCache() : sim_(7), medium_(sim_, net::RadioConfig{}) {
@@ -201,9 +201,7 @@ class AodvRreqCache : public ::testing::Test {
     node_.attach_radio(medium_, addr(1),
                        std::make_shared<net::StaticMobility>(
                            net::Position{50, 0}));
-    AodvConfig config;
-    config.use_hello = false;
-    aodv_ = std::make_unique<Aodv>(node_, config);
+    aodv_ = std::make_unique<Aodv>(node_);
     aodv_->start();  // housekeeping ticks at 0.5 s, 1 s, ...
   }
 
@@ -214,7 +212,9 @@ class AodvRreqCache : public ::testing::Test {
   /// Injects RREQ `id` at `at`; true when the daemon forwarded it.
   bool forwarded(std::uint32_t id, Duration at) {
     sim_.run_until(TimePoint{} + at);
-    const std::uint64_t before = aodv_->stats().control_packets_sent;
+    const Counter& forwards = sim_.ctx().metrics().counter(
+        "aodv.rreq_forwarded_total", "n1", "aodv");
+    const std::uint64_t before = forwards.value();
     aodv::Rreq rreq;
     rreq.rreq_id = id;
     rreq.ttl = 5;
@@ -223,7 +223,7 @@ class AodvRreqCache : public ::testing::Test {
     injector_.send_broadcast(net::kAodvPort, net::kAodvPort,
                              aodv::encode(rreq, {}));
     sim_.run_for(milliseconds(10));
-    return aodv_->stats().control_packets_sent > before;
+    return forwards.value() > before;
   }
 
   sim::Simulator sim_;

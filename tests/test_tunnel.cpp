@@ -2,6 +2,7 @@
 // provider -- including failure detection and gateway failover.
 #include <gtest/gtest.h>
 
+#include "common/metrics.hpp"
 #include "routing/aodv.hpp"
 #include "siphoc/connection_provider.hpp"
 #include "siphoc/gateway_provider.hpp"
@@ -102,8 +103,15 @@ TEST_F(TunnelFixture, TunneledDatagramReachesInternetAndBack) {
                       to_bytes("ping-through-tunnel"));
   sim_->run_for(seconds(2));
   EXPECT_EQ(echoed, "ping-through-tunnel");
-  EXPECT_GT(gateways_[0]->tunnel_server().stats().datagrams_to_internet, 0u);
-  EXPECT_GT(gateways_[0]->tunnel_server().stats().datagrams_to_clients, 0u);
+  const auto& metrics = sim_->ctx().metrics();
+  const Counter* up =
+      metrics.find_counter("tunnel.datagrams_up_total", "n0", "tunnel");
+  const Counter* down =
+      metrics.find_counter("tunnel.datagrams_down_total", "n0", "tunnel");
+  ASSERT_NE(up, nullptr);
+  ASSERT_NE(down, nullptr);
+  EXPECT_GT(up->value(), 0u);
+  EXPECT_GT(down->value(), 0u);
 }
 
 TEST_F(TunnelFixture, TunnelBetweenTwoClients) {

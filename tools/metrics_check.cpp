@@ -4,26 +4,32 @@
 // span names this stack may emit. This tool fails CI when code or emitted
 // sidecars drift from it:
 //
-//   metrics_check source  <src-dir>  <METRICS.md>
-//       Scans *.cpp/*.hpp under <src-dir> for registry instrument calls --
-//       counter("..."), gauge("..."), histogram("..."), record_span("...")
-//       -- and reports every literal name not documented in the catalog.
+//   metrics_check source  <dir>... <METRICS.md>
+//       Scans *.cpp/*.hpp under each <dir>, both directions:
+//       - every name passed to a registry instrument call -- counter(...),
+//         gauge(...), histogram(...), record_span(...), wrappers such as
+//         proxy_counter(host_, "...") included: the call's first string
+//         literal argument -- must be documented in the catalog;
+//       - every name in a catalog table row must appear as a string
+//         literal somewhere in the scanned sources (for a `<wildcard>`
+//         pattern, a literal carrying its fixed head), so a row for a
+//         metric the code no longer emits fails as stale.
 //
 //   metrics_check sidecar <file.json> <METRICS.md>
 //       Validates a siphoc.metrics.v1 sidecar: required schema keys are
 //       present and every series/span name is documented.
 //
 // Catalog format: any `backtick.quoted` token in METRICS.md counts as a
-// documented name. Dynamic names use wildcard segments in angle brackets,
-// e.g. `sip.client_tx.<method>` matches sip.client_tx.INVITE. Code that
-// builds a name by concatenation ("sip.client_tx." + method) is checked by
+// documented name; a catalog row is a table line whose first cell is one
+// such token. Dynamic names use wildcard segments in angle brackets, e.g.
+// `sip.client_tx.<method>` matches sip.client_tx.INVITE. Code that builds
+// a name by concatenation ("sip.client_tx." + method) is checked by
 // prefix against a pattern's fixed head.
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <optional>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -71,6 +77,27 @@ std::set<std::string> parse_catalog(const std::string& markdown) {
     if (ok) names.insert(token);
   }
   return names;
+}
+
+/// The names of the catalog's table rows: lines starting with '|' whose
+/// first cell is a single `token` (header and separator rows have none).
+std::vector<std::string> parse_catalog_rows(const std::string& markdown) {
+  std::vector<std::string> rows;
+  std::istringstream in(markdown);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] != '|') continue;
+    const std::size_t cell_end = line.find('|', 1);
+    if (cell_end == std::string::npos) continue;
+    const std::size_t open = line.find_first_not_of(' ', 1);
+    const std::size_t close = line.find_last_not_of(' ', cell_end - 1);
+    if (open == std::string::npos || close <= open || line[open] != '`' ||
+        line[close] != '`') {
+      continue;
+    }
+    rows.push_back(line.substr(open + 1, close - open - 1));
+  }
+  return rows;
 }
 
 /// True when `name` matches `pattern`, where each <segment> in the pattern
@@ -126,74 +153,177 @@ struct Use {
   std::string where;
 };
 
-/// Extracts the string literal opening at text[at] (== '"'); sets
-/// `is_prefix` when the literal is followed by '+' (runtime concatenation).
-std::optional<Use> extract_literal(const std::string& text, std::size_t at) {
-  const std::size_t end = text.find('"', at + 1);
-  if (end == std::string::npos) return std::nullopt;
+/// One past the end of the string literal opening at text[at] (== '"'),
+/// escapes and raw strings (R"delim(...)delim") included.
+std::size_t literal_end(const std::string& text, std::size_t at) {
+  if (at > 0 && text[at - 1] == 'R') {
+    const std::size_t paren = text.find('(', at);
+    if (paren == std::string::npos) return text.size();
+    const std::string close = ")" + text.substr(at + 1, paren - at - 1) + "\"";
+    const std::size_t end = text.find(close, paren);
+    return end == std::string::npos ? text.size() : end + close.size();
+  }
+  std::size_t i = at + 1;
+  while (i < text.size() && text[i] != '"') i += text[i] == '\\' ? 2 : 1;
+  return std::min(i + 1, text.size());
+}
+
+/// `text` with comments and character literals blanked to spaces. Line
+/// breaks stay, so offsets and line numbers survive; string literals stay.
+std::string blank_comments(const std::string& text) {
+  std::string out = text;
+  const auto blank = [&](std::size_t from, std::size_t to) {
+    for (std::size_t k = from; k < to && k < out.size(); ++k) {
+      if (out[k] != '\n') out[k] = ' ';
+    }
+  };
+  std::size_t i = 0;
+  while (i < text.size()) {
+    const char c = text[i];
+    const char next = i + 1 < text.size() ? text[i + 1] : '\0';
+    if (c == '"') {
+      i = literal_end(text, i);
+    } else if (c == '/' && next == '/') {
+      const std::size_t end = std::min(text.find('\n', i), text.size());
+      blank(i, end);
+      i = end;
+    } else if (c == '/' && next == '*') {
+      const std::size_t close = text.find("*/", i + 2);
+      const std::size_t end =
+          close == std::string::npos ? text.size() : close + 2;
+      blank(i, end);
+      i = end;
+    } else if (c == '\'' &&
+               (i == 0 ||
+                std::isalnum(static_cast<unsigned char>(text[i - 1])) == 0)) {
+      // A character literal (a quote after a digit is a digit separator).
+      std::size_t j = i + 1;
+      while (j < text.size() && text[j] != '\'') j += text[j] == '\\' ? 2 : 1;
+      blank(i, j + 1);
+      i = j + 1;
+    } else {
+      ++i;
+    }
+  }
+  return out;
+}
+
+/// The string literal opening at code[at] (== '"'); `is_prefix` when it is
+/// followed by '+' (runtime concatenation), possibly after closing
+/// parentheses as in std::string("x.") + y.
+Use extract_literal(const std::string& code, std::size_t at,
+                    const std::string& file) {
+  const std::size_t end = literal_end(code, at);
   Use use;
-  use.name = text.substr(at + 1, end - at - 1);
-  std::size_t after = end + 1;
-  while (after < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[after])) != 0) {
+  use.name = code.substr(at + 1, end - at - 2);
+  std::size_t after = end;
+  while (after < code.size() &&
+         (std::isspace(static_cast<unsigned char>(code[after])) != 0 ||
+          code[after] == ')')) {
     ++after;
   }
-  use.is_prefix = after < text.size() && text[after] == '+';
+  use.is_prefix = after < code.size() && code[after] == '+';
+  const std::size_t line =
+      1 + static_cast<std::size_t>(
+              std::count(code.begin(), code.begin() + at, '\n'));
+  use.where = file + ":" + std::to_string(line);
   return use;
 }
 
-void scan_source(const std::string& text, const std::string& file,
-                 std::vector<Use>& out) {
+/// Every string literal in comment-blanked code.
+void scan_literals(const std::string& code, const std::string& file,
+                   std::vector<Use>& out) {
+  for (std::size_t i = code.find('"'); i != std::string::npos;
+       i = code.find('"', literal_end(code, i))) {
+    out.push_back(extract_literal(code, i, file));
+  }
+}
+
+/// The first string literal argument of every instrument call in
+/// comment-blanked code.
+void scan_instrument_calls(const std::string& code, const std::string& file,
+                           std::vector<Use>& out) {
   static const char* kCalls[] = {"counter(", "gauge(", "histogram(",
                                  "record_span("};
   for (const char* call : kCalls) {
     const std::string needle = call;
     std::size_t pos = 0;
-    while ((pos = text.find(needle, pos)) != std::string::npos) {
-      std::size_t quote = pos + needle.size();
+    while ((pos = code.find(needle, pos)) != std::string::npos) {
       pos += needle.size();
-      // Tolerate a line break between the call and its first argument.
-      while (quote < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[quote])) != 0) {
-        ++quote;
+      // Walk the argument list to its closing parenthesis; nested calls
+      // (e.g. metrics() or name()) are stepped over.
+      int depth = 1;
+      std::size_t i = pos;
+      while (i < code.size() && depth > 0) {
+        if (code[i] == '"') {
+          if (depth == 1) break;
+          i = literal_end(code, i);
+          continue;
+        }
+        if (code[i] == '(') ++depth;
+        if (code[i] == ')') --depth;
+        ++i;
       }
-      if (quote >= text.size() || text[quote] != '"') continue;
-      auto use = extract_literal(text, quote);
-      if (!use || use->name.empty()) continue;
+      if (i >= code.size() || code[i] != '"') continue;
+      Use use = extract_literal(code, i, file);
       // Only registry series names: skip helper definitions whose literal
       // is a component label or unrelated string (names carry a dot, spans
       // an underscore).
-      if (use->name.find('.') == std::string::npos &&
-          use->name.find('_') == std::string::npos) {
+      if (use.name.find('.') == std::string::npos &&
+          use.name.find('_') == std::string::npos) {
         continue;
       }
-      const std::size_t line =
-          1 + static_cast<std::size_t>(
-                  std::count(text.begin(), text.begin() + quote, '\n'));
-      use->where = file + ":" + std::to_string(line);
-      out.push_back(std::move(*use));
+      out.push_back(std::move(use));
     }
   }
 }
 
-int run_source_mode(const fs::path& src_dir, const fs::path& doc_path) {
-  const auto catalog = parse_catalog(read_file(doc_path));
+/// True when some literal carries catalog row `name`: the literal itself,
+/// or for a `<wildcard>` pattern a literal that starts with the pattern's
+/// fixed head or is a concatenation head the fixed head starts with.
+bool has_literal(const std::vector<Use>& literals, const std::string& name) {
+  const std::size_t open = name.find('<');
+  const std::string head = name.substr(0, open);
+  for (const auto& lit : literals) {
+    if (open == std::string::npos) {
+      if (lit.name == name) return true;
+    } else if (lit.name.compare(0, head.size(), head) == 0 ||
+               (lit.is_prefix && !lit.name.empty() &&
+                head.compare(0, lit.name.size(), lit.name) == 0)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+int run_source_mode(const std::vector<fs::path>& dirs,
+                    const fs::path& doc_path) {
+  const std::string markdown = read_file(doc_path);
+  const auto catalog = parse_catalog(markdown);
   if (catalog.empty()) {
     std::fprintf(stderr, "metrics_check: no names parsed from %s\n",
                  doc_path.string().c_str());
     return 2;
   }
   std::vector<Use> uses;
-  for (const auto& entry : fs::recursive_directory_iterator(src_dir)) {
-    if (!entry.is_regular_file()) continue;
-    const auto ext = entry.path().extension();
-    if (ext != ".cpp" && ext != ".hpp") continue;
-    scan_source(read_file(entry.path()), entry.path().string(), uses);
+  std::vector<Use> literals;
+  for (const auto& dir : dirs) {
+    if (!fs::is_directory(dir)) {
+      std::fprintf(stderr, "metrics_check: %s is not a directory\n",
+                   dir.string().c_str());
+      return 2;
+    }
+    for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+      if (!entry.is_regular_file()) continue;
+      const auto ext = entry.path().extension();
+      if (ext != ".cpp" && ext != ".hpp") continue;
+      const std::string code = blank_comments(read_file(entry.path()));
+      scan_instrument_calls(code, entry.path().string(), uses);
+      scan_literals(code, entry.path().string(), literals);
+    }
   }
   int bad = 0;
-  std::size_t checked = 0;
   for (const auto& use : uses) {
-    ++checked;
     if (!documented(catalog, use.name, use.is_prefix)) {
       std::fprintf(stderr, "UNDOCUMENTED metric name \"%s%s\" at %s\n",
                    use.name.c_str(), use.is_prefix ? "<...>" : "",
@@ -201,8 +331,20 @@ int run_source_mode(const fs::path& src_dir, const fs::path& doc_path) {
       ++bad;
     }
   }
-  std::printf("metrics_check source: %zu instrument calls, %d undocumented\n",
-              checked, bad);
+  const auto rows = parse_catalog_rows(markdown);
+  for (const auto& row : rows) {
+    if (!has_literal(literals, row)) {
+      std::fprintf(stderr,
+                   "STALE catalog row `%s`: no string literal in the "
+                   "scanned sources emits it\n",
+                   row.c_str());
+      ++bad;
+    }
+  }
+  std::printf(
+      "metrics_check source: %zu instrument calls, %zu catalog rows, %d "
+      "problems\n",
+      uses.size(), rows.size(), bad);
   return bad == 0 ? 0 : 1;
 }
 
@@ -290,15 +432,14 @@ int run_sidecar_mode(const fs::path& json_path, const fs::path& doc_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 4) {
-    std::fprintf(stderr,
-                 "usage: metrics_check source  <src-dir>    <METRICS.md>\n"
-                 "       metrics_check sidecar <file.json>  <METRICS.md>\n");
-    return 2;
+  const std::string mode = argc > 1 ? argv[1] : "";
+  if (mode == "source" && argc >= 4) {
+    return run_source_mode(std::vector<fs::path>(argv + 2, argv + argc - 1),
+                           argv[argc - 1]);
   }
-  const std::string mode = argv[1];
-  if (mode == "source") return run_source_mode(argv[2], argv[3]);
-  if (mode == "sidecar") return run_sidecar_mode(argv[2], argv[3]);
-  std::fprintf(stderr, "unknown mode %s\n", mode.c_str());
+  if (mode == "sidecar" && argc == 4) return run_sidecar_mode(argv[2], argv[3]);
+  std::fprintf(stderr,
+               "usage: metrics_check source  <dir>...     <METRICS.md>\n"
+               "       metrics_check sidecar <file.json>  <METRICS.md>\n");
   return 2;
 }
