@@ -185,31 +185,6 @@ class MetricsRegistry {
   std::uint64_t spans_recorded_ = 0;
 };
 
-/// RAII span over virtual time: records [construction, destruction] on the
-/// given registry.
-class ScopedSpan {
- public:
-  ScopedSpan(MetricsRegistry& registry, std::string name,
-             std::string component, std::string node = {})
-      : registry_(registry),
-        name_(std::move(name)),
-        component_(std::move(component)),
-        node_(std::move(node)),
-        start_(registry_.now()) {}
-  ~ScopedSpan() {
-    registry_.record_span(name_, component_, node_, start_, registry_.now());
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  MetricsRegistry& registry_;
-  std::string name_;
-  std::string component_;
-  std::string node_;
-  TimePoint start_;
-};
-
 /// Shared latency bucket boundaries, in milliseconds. One scale for every
 /// *_ms histogram keeps sidecars comparable across layers and benches.
 inline constexpr double kLatencyBucketsMs[] = {

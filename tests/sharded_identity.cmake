@@ -1,13 +1,13 @@
 # Tool-level byte-identity check for region sharding (docs/ARCHITECTURE.md):
-# run the same sharded scenario script at --sim-threads 1 and 2 and demand
-# identical narration and identical metrics sidecars. `--sim-threads` is
+# run the same sharded scenario script at --sim-threads 1, 2 and 4 and
+# demand identical narration and identical metrics sidecars. `--sim-threads` is
 # execution policy, never content; any divergence is a determinism bug.
 #
 # Usage:
 #   cmake -DRUNNER=<scenario_runner> -DSCRIPT=<script.scn>
 #         -DWORKDIR=<scratch dir> -P sharded_identity.cmake
 
-foreach(threads 1 2)
+foreach(threads 1 2 4)
   set(dir "${WORKDIR}/t${threads}")
   file(MAKE_DIRECTORY "${dir}")
   execute_process(
@@ -23,14 +23,16 @@ foreach(threads 1 2)
   endif()
 endforeach()
 
-foreach(artifact out.txt m.json)
-  execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-            "${WORKDIR}/t1/${artifact}" "${WORKDIR}/t2/${artifact}"
-    RESULT_VARIABLE same)
-  if(NOT same EQUAL 0)
-    message(FATAL_ERROR
-            "${artifact} differs between --sim-threads 1 and 2: sharded runs "
-            "must be byte-identical for any thread count")
-  endif()
+foreach(threads 2 4)
+  foreach(artifact out.txt m.json)
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E compare_files
+              "${WORKDIR}/t1/${artifact}" "${WORKDIR}/t${threads}/${artifact}"
+      RESULT_VARIABLE same)
+    if(NOT same EQUAL 0)
+      message(FATAL_ERROR
+              "${artifact} differs between --sim-threads 1 and ${threads}: "
+              "sharded runs must be byte-identical for any thread count")
+    endif()
+  endforeach()
 endforeach()

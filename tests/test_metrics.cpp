@@ -114,7 +114,8 @@ TEST_F(MetricsTest, SpanRingWrapsAroundKeepingNewest) {
 TEST_F(MetricsTest, SpansCarryVirtualTimeFromSimulator) {
   sim::Simulator sim(1, &ctx_);  // registers itself as the time source
   sim.schedule(milliseconds(5), [this] {
-    ScopedSpan span(registry(), "work", "unit", "n0");  // records [5ms, 5ms]
+    registry().record_span("work", "unit", "n0", registry().now(),
+                           registry().now());  // records [5ms, 5ms]
   });
   sim.schedule(milliseconds(7), [this] {
     registry().record_span("tail", "unit", "n0",

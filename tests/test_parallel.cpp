@@ -1,4 +1,5 @@
-// Unit tests: parallel experiment cell runner (scenario/parallel.hpp).
+// Unit tests: parallel experiment cell runner (scenario/parallel.hpp) and
+// the worker pool under it (sim/worker_pool.hpp).
 //
 // The contract under test is thread-count invariance: a grid of independent
 // cells must produce byte-identical per-cell and merged results whether it
@@ -7,13 +8,19 @@
 // this concurrency surface under race detection.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <functional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/context.hpp"
 #include "common/metrics.hpp"
 #include "scenario/parallel.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/worker_pool.hpp"
 
 namespace siphoc::scenario {
 namespace {
@@ -115,6 +122,77 @@ TEST(ParallelRunnerTest, OversubscribedPoolStillCompletes) {
   EXPECT_EQ(run_cells(make_grid(3, 2), 8).size(), 2u);
   EXPECT_EQ(run_cells(make_grid(4, 7), 3).size(), 7u);
   EXPECT_GE(default_thread_count(), 1u);
+}
+
+// What one pool stress run saw go wrong, summed over its generations.
+struct PoolStressResult {
+  int bad_generations = 0;  // an index ran != once, or ran past run()
+  int out_of_range = 0;     // an index outside [0, n) was claimed
+  int inner_runs = 0;       // tasks run on the nested pool
+};
+
+// `generations` run() calls back to back on one pool, the task count
+// cycling through 2, 3, 8 and 64. Each task does a little busy work, so
+// helpers win claims and a task can still be running when a broken run()
+// returns. Every 16th generation index 0 also drives a second pool. The
+// task object outlives every run(), so a late helper of a broken pool shows
+// up in the counts instead of calling a destroyed function.
+PoolStressResult stress_pool(unsigned threads, int generations) {
+  constexpr std::size_t kSizes[] = {2, 3, 8, 64};
+  sim::WorkerPool pool(threads);
+  sim::WorkerPool inner(2);
+  std::array<std::atomic<int>, 64> hits{};
+  std::atomic<int> running{0};
+  std::atomic<int> out_of_range{0};
+  std::atomic<int> inner_runs{0};
+  std::size_t n = 0;
+  int g = 0;
+  const std::function<void(std::size_t)> task = [&](std::size_t i) {
+    running.fetch_add(1);
+    if (i < n) {
+      hits[i].fetch_add(1);
+    } else {
+      out_of_range.fetch_add(1);
+    }
+    volatile std::size_t sink = 0;
+    for (std::size_t k = 0; k < 64 * (i % 5); ++k) sink = sink + k;
+    if (i == 0 && g % 16 == 0) {
+      inner.run(3, [&](std::size_t) { inner_runs.fetch_add(1); });
+    }
+    running.fetch_sub(1);
+  };
+  PoolStressResult result;
+  for (g = 0; g < generations; ++g) {
+    n = kSizes[g % 4];
+    pool.run(n, task);
+    bool ok = running.load() == 0;
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ok &= hits[i].exchange(0) == (i < n ? 1 : 0);
+    }
+    if (!ok) ++result.bad_generations;
+  }
+  result.out_of_range = out_of_range.load();
+  result.inner_runs = inner_runs.load();
+  return result;
+}
+
+TEST(WorkerPoolTest, BackToBackRunsClaimEveryIndexExactlyOnce) {
+  // Pools of 2 and 4 threads run at the same time, so together with their
+  // nested pools there are more threads than most hosts have cores: the
+  // scheduler then preempts helpers at arbitrary points of a claim, which
+  // is where a claim that mixes two generations goes wrong. Every index
+  // must run exactly once per generation, none may fall outside [0, n),
+  // and none may still be running when run() returns.
+  constexpr int kGenerations = 50000;
+  PoolStressResult two;
+  std::thread side([&] { two = stress_pool(2, kGenerations); });
+  const PoolStressResult four = stress_pool(4, kGenerations);
+  side.join();
+  for (const auto& [threads, r] : {std::pair{2, two}, std::pair{4, four}}) {
+    EXPECT_EQ(r.bad_generations, 0) << threads << " threads";
+    EXPECT_EQ(r.out_of_range, 0) << threads << " threads";
+    EXPECT_EQ(r.inner_runs, 3 * kGenerations / 16) << threads << " threads";
+  }
 }
 
 }  // namespace
