@@ -98,28 +98,38 @@ struct BenchArgs {
   std::uint32_t regions = 0;
   unsigned sim_threads = 1;
 
+  /// Parses the shared bench flags. `--help` prints the usage line and
+  /// exits 0; an unknown flag, or one missing its value, prints it and
+  /// exits 2 without running the bench.
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs args;
+    const auto usage = [&](int status) {
+      std::fprintf(status == 0 ? stdout : stderr,
+                   "usage: %s [--quick] [--json <path>] [--threads <n>] "
+                   "[--regions <r>] [--sim-threads <n>] [--help]\n",
+                   argv[0]);
+      std::exit(status);
+    };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
+      const bool has_value = i + 1 < argc;
       if (arg == "--quick") {
         args.quick = true;
-      } else if (arg == "--json" && i + 1 < argc) {
+      } else if (arg == "--help") {
+        usage(0);
+      } else if (arg == "--json" && has_value) {
         args.json_path = argv[++i];
-      } else if (arg == "--threads" && i + 1 < argc) {
+      } else if (arg == "--threads" && has_value) {
         const long n = std::strtol(argv[++i], nullptr, 10);
         args.threads = n > 1 ? static_cast<unsigned>(n) : 1;
-      } else if (arg == "--regions" && i + 1 < argc) {
+      } else if (arg == "--regions" && has_value) {
         const long n = std::strtol(argv[++i], nullptr, 10);
         args.regions = n > 0 ? static_cast<std::uint32_t>(n) : 0;
-      } else if (arg == "--sim-threads" && i + 1 < argc) {
+      } else if (arg == "--sim-threads" && has_value) {
         const long n = std::strtol(argv[++i], nullptr, 10);
         args.sim_threads = n > 1 ? static_cast<unsigned>(n) : 1;
       } else {
-        std::fprintf(stderr,
-                     "usage: %s [--quick] [--json <path>] [--threads <n>] "
-                     "[--regions <r>] [--sim-threads <n>]\n",
-                     argv[0]);
+        usage(2);
       }
     }
     return args;

@@ -62,6 +62,23 @@ std::optional<std::span<const std::uint8_t>> verify_crc32(
   return head;
 }
 
+std::optional<std::span<const std::uint8_t>> SharedBytes::verified_head()
+    const {
+  if (!data_) return std::nullopt;
+  const std::span<const std::uint8_t> all = data_->bytes;
+  switch (data_->crc.load(std::memory_order_relaxed)) {
+    case kValid:
+      return all.first(all.size() - 4);
+    case kInvalid:
+      return std::nullopt;
+    default:
+      break;
+  }
+  const auto head = verify_crc32(all);
+  data_->crc.store(head ? kValid : kInvalid, std::memory_order_relaxed);
+  return head;
+}
+
 Bytes to_bytes(std::string_view text) {
   return Bytes(text.begin(), text.end());
 }

@@ -7,6 +7,7 @@
 // never read past the end of the buffer.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
@@ -37,16 +38,23 @@ class SharedBytes {
   SharedBytes(Bytes bytes)  // NOLINT(google-explicit-constructor)
       : data_(bytes.empty()
                   ? nullptr
-                  : std::make_shared<const Bytes>(std::move(bytes))) {}
+                  : std::make_shared<const Buffer>(std::move(bytes))) {}
   SharedBytes(std::initializer_list<std::uint8_t> il)
       : SharedBytes(Bytes(il)) {}
 
-  const Bytes& bytes() const { return data_ ? *data_ : empty_bytes(); }
+  const Bytes& bytes() const { return data_ ? data_->bytes : empty_bytes(); }
   const std::uint8_t* data() const { return bytes().data(); }
-  std::size_t size() const { return data_ ? data_->size() : 0; }
+  std::size_t size() const { return data_ ? data_->bytes.size() : 0; }
   bool empty() const { return size() == 0; }
   auto begin() const { return bytes().begin(); }
   auto end() const { return bytes().end(); }
+
+  /// verify_crc32(bytes()), computed once per buffer: every copy of this
+  /// SharedBytes (each receiver of a broadcast) shares the verdict. Exact
+  /// because the bytes never change after construction; a mangled copy is
+  /// a new buffer with a verdict of its own. Safe to call from several
+  /// threads at once: racing callers compute and store the same verdict.
+  std::optional<std::span<const std::uint8_t>> verified_head() const;
 
   operator const Bytes&() const {  // NOLINT(google-explicit-constructor)
     return bytes();
@@ -63,11 +71,19 @@ class SharedBytes {
   }
 
  private:
+  enum Verdict : std::uint8_t { kUnchecked, kValid, kInvalid };
+  struct Buffer {
+    explicit Buffer(Bytes b) : bytes(std::move(b)) {}
+    Bytes bytes;
+    // A Verdict; relaxed is enough, since it is a pure function of `bytes`,
+    // which were published together with the shared_ptr.
+    mutable std::atomic<std::uint8_t> crc{kUnchecked};
+  };
   static const Bytes& empty_bytes() {
     static const Bytes empty;
     return empty;
   }
-  std::shared_ptr<const Bytes> data_;
+  std::shared_ptr<const Buffer> data_;
 };
 
 /// Appends big-endian encoded primitive fields to a byte vector.
@@ -150,11 +166,17 @@ class BufferReader {
     return s;
   }
   Result<Bytes> raw(std::size_t n) {
+    auto v = view(n);
+    if (!v) return v.error();
+    return Bytes(v->begin(), v->end());
+  }
+  /// The next `n` bytes without copying them: valid as long as the buffer
+  /// the reader views.
+  Result<std::span<const std::uint8_t>> view(std::size_t n) {
     if (remaining() < n) return fail("raw: buffer underrun");
-    Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    const auto v = data_.subspan(pos_, n);
     pos_ += n;
-    return b;
+    return v;
   }
   Result<void> skip(std::size_t n) {
     if (remaining() < n) return fail("skip: buffer underrun");

@@ -308,19 +308,20 @@ void RadioMedium::transmit(const Frame& frame) {
   // arrival joins its lane's group; a later one (reordered, duplicated)
   // is an event of its own. `deliver` is copied either way: a radio
   // detached in flight still receives what was already sent to it.
-  std::vector<DeliveryGroup>& groups = scratch.groups;
+  auto& groups = scratch.groups;
   const auto emit = [&](std::uint32_t rx_lane, Duration at,
                         const RadioAttachment& rx,
                         std::shared_ptr<const Frame> mangled) {
     if (at == arrival) {
-      auto group = std::find_if(groups.begin(), groups.end(),
-                                [&](const DeliveryGroup& g) {
-                                  return g.lane == rx_lane;
-                                });
+      const auto group = std::find_if(
+          groups.begin(), groups.end(),
+          [&](const auto& g) { return g.first == rx_lane; });
       if (group == groups.end()) {
-        group = groups.insert(groups.end(), DeliveryGroup{rx_lane, {}});
+        groups.emplace_back(rx_lane, 1);
+      } else {
+        ++group->second;
       }
-      group->receptions.push_back(Reception{rx.deliver, std::move(mangled)});
+      scratch.on_time.push_back(OnTime{rx_lane, &rx, std::move(mangled)});
       return;
     }
     auto deliver = rx.deliver;
@@ -407,12 +408,18 @@ void RadioMedium::transmit(const Frame& frame) {
   // window, where lanes interleave in (when, lane) order, but
   // Simulator::schedule_on requires cross-lane delays of at least the
   // lookahead, so none is due at `arrival`. The frame is copied once per
-  // group, not once per receiver.
-  for (DeliveryGroup& group : groups) {
-    const auto count = static_cast<std::uint32_t>(group.receptions.size());
+  // group, not once per receiver, and each group's receptions are
+  // allocated once, at their exact size.
+  for (const auto& [group_lane, count] : groups) {
+    std::vector<Reception> receptions;
+    receptions.reserve(count);
+    for (OnTime& r : scratch.on_time) {
+      if (r.lane != group_lane) continue;
+      receptions.push_back(Reception{r.rx->deliver, std::move(r.mangled)});
+    }
     sim_.schedule_on(
-        group.lane, arrival,
-        [frame, receptions = std::move(group.receptions)] {
+        group_lane, arrival,
+        [frame, receptions = std::move(receptions)] {
           for (const Reception& r : receptions) {
             r.deliver(r.mangled ? *r.mangled : frame);
           }
@@ -420,6 +427,7 @@ void RadioMedium::transmit(const Frame& frame) {
         count);
   }
   groups.clear();
+  scratch.on_time.clear();
 
   if (!unicast_reached) {
     ++st.unicast_unreachable;

@@ -222,15 +222,19 @@ class RadioMedium {
     std::function<void(const Frame&)> deliver;
     std::shared_ptr<const Frame> mangled;  // set for a corrupted copy
   };
-  /// A frame's on-time receptions on one lane, in candidate order.
-  struct DeliveryGroup {
+  /// A reception due at the frame's base arrival, parked until transmit()
+  /// knows how many its lane's group holds.
+  struct OnTime {
     std::uint32_t lane = 0;
-    std::vector<Reception> receptions;
+    const RadioAttachment* rx = nullptr;
+    std::shared_ptr<const Frame> mangled;
   };
   /// Reused per transmit: one block per lane (just lane 0 when unsharded).
   struct TxScratch {
     std::vector<std::uint32_t> candidates;
-    std::vector<DeliveryGroup> groups;
+    std::vector<OnTime> on_time;  // in candidate order
+    // (lane, receptions) per delivery group, in order of first reception.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> groups;
   };
   std::vector<TxScratch> scratch_ = std::vector<TxScratch>(1);
 

@@ -163,7 +163,7 @@ void Aodv::send_hello() {
 // --------------------------------------------------------------------------
 
 void Aodv::on_packet(const net::Datagram& d, const net::RxInfo&) {
-  auto decoded = aodv::decode(d.payload);
+  auto decoded = aodv::decode_frame(d.payload);
   if (!decoded) {
     metrics_.routing.decode_errors.add();
     log_.warn("malformed AODV packet from ", d.src.to_string(), ": ",
@@ -191,7 +191,8 @@ void Aodv::on_packet(const net::Datagram& d, const net::RxInfo&) {
   }
 }
 
-void Aodv::handle_rreq(const Rreq& m, const Bytes& ext, net::Address from) {
+void Aodv::handle_rreq(const Rreq& m, std::span<const std::uint8_t> ext,
+                       net::Address from) {
   if (m.orig == self()) return;  // own flood echoed back
 
   const bool duplicate = note_rreq(rreq_key(m.orig, m.rreq_id));
@@ -281,7 +282,8 @@ void Aodv::handle_rreq(const Rreq& m, const Bytes& ext, net::Address from) {
   host_.send_broadcast(net::kAodvPort, net::kAodvPort, std::move(wire));
 }
 
-void Aodv::handle_rrep(const Rrep& m, const Bytes& ext, net::Address from) {
+void Aodv::handle_rrep(const Rrep& m, std::span<const std::uint8_t> ext,
+                       net::Address from) {
   if (m.is_hello) {
     // Neighbor liveness + 1-hop route.
     table_.update(m.dst, m.dst_seqno, true, 1, m.dst,

@@ -103,8 +103,10 @@ class Aodv final : public Protocol {
 
   // --- packet RX ---------------------------------------------------------
   void on_packet(const net::Datagram& d, const net::RxInfo& rx);
-  void handle_rreq(const aodv::Rreq& m, const Bytes& ext, net::Address from);
-  void handle_rrep(const aodv::Rrep& m, const Bytes& ext, net::Address from);
+  void handle_rreq(const aodv::Rreq& m, std::span<const std::uint8_t> ext,
+                   net::Address from);
+  void handle_rrep(const aodv::Rrep& m, std::span<const std::uint8_t> ext,
+                   net::Address from);
   void handle_rerr(const aodv::Rerr& m, net::Address from);
 
   // --- discovery ---------------------------------------------------------

@@ -127,9 +127,12 @@ Bytes encode(const Message& message, std::span<const std::uint8_t> extension) {
   return out;
 }
 
-Result<Decoded> decode(std::span<const std::uint8_t> packet) {
-  if (packet.size() < 4) return fail("aodv: packet shorter than CRC trailer");
-  const auto head = verify_crc32(packet);
+namespace {
+
+// `head` is what verify_crc32 made of all `size` bytes of the packet.
+Result<Decoded> decode_head(
+    std::size_t size, std::optional<std::span<const std::uint8_t>> head) {
+  if (size < 4) return fail("aodv: packet shorter than CRC trailer");
   if (!head) return fail("aodv: CRC mismatch");
   BufferReader r(*head);
   auto type = r.u8();
@@ -152,7 +155,7 @@ Result<Decoded> decode(std::span<const std::uint8_t> packet) {
     case Type::kRerr: {
       auto m = decode_rerr(r);
       if (!m) return m.error();
-      out.message = *m;
+      out.message = std::move(*m);
       break;
     }
     default:
@@ -161,10 +164,20 @@ Result<Decoded> decode(std::span<const std::uint8_t> packet) {
 
   auto ext_len = r.u16();
   if (!ext_len) return ext_len.error();
-  auto ext = r.raw(*ext_len);
+  auto ext = r.view(*ext_len);
   if (!ext) return ext.error();
-  out.extension = std::move(*ext);
+  out.extension = *ext;
   return out;
+}
+
+}  // namespace
+
+Result<Decoded> decode(std::span<const std::uint8_t> packet) {
+  return decode_head(packet.size(), verify_crc32(packet));
+}
+
+Result<Decoded> decode_frame(const SharedBytes& frame) {
+  return decode_head(frame.size(), frame.verified_head());
 }
 
 std::string describe(const Message& message) {

@@ -56,12 +56,20 @@ using Message = std::variant<Rreq, Rrep, Rerr>;
 /// Serializes message + extension block into a wire packet.
 Bytes encode(const Message& message, std::span<const std::uint8_t> extension);
 
+/// A decoded packet. `extension` views the decoded buffer: it is valid only
+/// while that buffer lives, so decode the wire bytes from a named object,
+/// never from a temporary.
 struct Decoded {
   Message message;
-  Bytes extension;
+  std::span<const std::uint8_t> extension;
 };
 
 Result<Decoded> decode(std::span<const std::uint8_t> packet);
+
+/// decode() of a received frame, with the CRC trailer checked through
+/// SharedBytes::verified_head(): once per buffer, however many receivers
+/// share it. Same verdicts and error messages as decode().
+Result<Decoded> decode_frame(const SharedBytes& frame);
 
 /// Human-readable one-liner (packet_trace example).
 std::string describe(const Message& message);

@@ -110,13 +110,20 @@ std::uint32_t Olsr::intern(net::Address a) {
 // TX
 // --------------------------------------------------------------------------
 
-void Olsr::send_hello() {
-  Message m;
-  m.type = MsgType::kHello;
-  m.vtime_ms = static_cast<std::uint16_t>(to_millis(config_.neighbor_hold));
+Message& Olsr::originate(MsgType type, Duration vtime, std::uint8_t ttl) {
+  Message& m = tx_packet_.messages.front();
+  m.type = type;
+  m.vtime_ms = static_cast<std::uint16_t>(to_millis(vtime));
   m.originator = self();
-  m.ttl = 1;  // HELLO never leaves the 1-hop neighborhood
+  m.ttl = ttl;
+  m.hop_count = 0;
   m.msg_seq = ++msg_seq_;
+  return m;
+}
+
+void Olsr::send_hello() {
+  // HELLO never leaves the 1-hop neighborhood.
+  Message& m = originate(MsgType::kHello, config_.neighbor_hold, 1);
 
   Hello::LinkGroup sym{LinkCode::kSym, {}};
   Hello::LinkGroup mpr{LinkCode::kMpr, {}};
@@ -129,16 +136,19 @@ void Olsr::send_hello() {
       asym.neighbors.push_back(addr);
     }
   }
+  m.hello.links.clear();
   for (auto* g : {&mpr, &sym, &asym}) {
-    if (!g->neighbors.empty()) m.hello.links.push_back(*g);
+    if (!g->neighbors.empty()) m.hello.links.push_back(std::move(*g));
   }
 
   if (handler_ != nullptr) {
     m.extension = handler_->on_outgoing(
         PacketInfo{PacketKind::kOlsrHello, self(), net::Address{}});
+  } else {
+    m.extension.clear();
   }
   metrics_.hello_tx.add();
-  transmit(std::move(m));
+  transmit();
 }
 
 void Olsr::send_tc() {
@@ -152,26 +162,20 @@ void Olsr::send_tc() {
   }
   if (selectors_.empty() && ext.empty()) return;
 
-  Message m;
-  m.type = MsgType::kTc;
-  m.vtime_ms = static_cast<std::uint16_t>(to_millis(config_.topology_hold));
-  m.originator = self();
-  m.ttl = 255;
-  m.msg_seq = ++msg_seq_;
+  Message& m = originate(MsgType::kTc, config_.topology_hold, 255);
   m.tc.ansn = ++ansn_;
   m.tc.advertised.assign(selectors_.begin(), selectors_.end());
   m.extension = std::move(ext);
   metrics_.tc_tx.add();
-  transmit(std::move(m));
+  transmit();
 }
 
-void Olsr::transmit(Message message) {
-  Packet p;
-  p.pkt_seq = ++pkt_seq_;
+void Olsr::transmit() {
+  const Message& message = tx_packet_.messages.front();
+  tx_packet_.pkt_seq = ++pkt_seq_;
   stats_.extension_bytes_sent += message.extension.size();
   metrics_.routing.piggyback_bytes.add(message.extension.size());
-  p.messages.push_back(std::move(message));
-  Bytes wire = olsr::encode(p);
+  Bytes wire = olsr::encode(tx_packet_);
   ++stats_.control_packets_sent;
   stats_.control_bytes_sent += wire.size();
   metrics_.routing.control_packets.add();
@@ -184,11 +188,10 @@ void Olsr::transmit(Message message) {
 // --------------------------------------------------------------------------
 
 void Olsr::on_packet(const net::Datagram& d, const net::RxInfo&) {
-  auto packet = olsr::decode(d.payload);
-  if (!packet) {
+  if (auto ok = olsr::decode_frame(d.payload, rx_packet_); !ok) {
     metrics_.routing.decode_errors.add();
     log_.warn("malformed OLSR packet from ", d.src.to_string(), ": ",
-              packet.error().message);
+              ok.error().message);
     return;
   }
   if (d.corrupted) {
@@ -199,7 +202,7 @@ void Olsr::on_packet(const net::Datagram& d, const net::RxInfo&) {
         .add();
   }
   const net::Address prev_hop = d.src;
-  for (const auto& m : packet->messages) {
+  for (const auto& m : rx_packet_.messages) {
     if (m.originator == self()) continue;
 
     if (m.type == MsgType::kHello) {
@@ -326,11 +329,18 @@ void Olsr::maybe_forward(const Message& m, net::Address prev_hop) {
   const auto it = links_.find(prev_hop);
   if (it == links_.end() || !it->second.is_mpr_of_us) return;
 
-  Message fwd = m;
-  fwd.ttl -= 1;
-  fwd.hop_count += 1;
+  // Only TCs get here. Copy-assignment keeps fwd's vectors' capacity.
+  Message& fwd = tx_packet_.messages.front();
+  fwd.type = m.type;
+  fwd.vtime_ms = m.vtime_ms;
+  fwd.originator = m.originator;
+  fwd.ttl = static_cast<std::uint8_t>(m.ttl - 1);
+  fwd.hop_count = static_cast<std::uint8_t>(m.hop_count + 1);
+  fwd.msg_seq = m.msg_seq;
+  fwd.tc = m.tc;
+  fwd.extension = m.extension;
   metrics_.tc_forwarded.add();
-  transmit(std::move(fwd));
+  transmit();
 }
 
 // --------------------------------------------------------------------------

@@ -97,7 +97,12 @@ class Olsr final : public Protocol {
 
   void send_hello();
   void send_tc();
-  void transmit(olsr::Message message);
+  /// The message of tx_packet_ with the header of a fresh message of ours;
+  /// the caller fills the body and the extension, then calls transmit().
+  olsr::Message& originate(olsr::MsgType type, Duration vtime,
+                           std::uint8_t ttl);
+  /// Encodes and broadcasts tx_packet_ under the next packet sequence number.
+  void transmit();
   void on_packet(const net::Datagram& d, const net::RxInfo& rx);
   void process_hello(const olsr::Message& m, net::Address from);
   void process_tc(const olsr::Message& m);
@@ -200,6 +205,13 @@ class Olsr final : public Protocol {
     std::vector<std::uint32_t> next_hop, queue;
     std::vector<Route> routes;
   } bfs_;
+  // Reused so the receive and send paths keep their vectors' capacity:
+  // every packet is decoded into rx_packet_ (see olsr::decode_frame), and
+  // every packet we send is built in the one message of tx_packet_. Both
+  // are safe to reuse because a packet is never delivered synchronously:
+  // on_packet cannot run again before it returns.
+  olsr::Packet rx_packet_;
+  olsr::Packet tx_packet_{0, std::vector<olsr::Message>(1)};
   sim::PeriodicTimer hello_timer_;
   sim::PeriodicTimer tc_timer_;
   sim::PeriodicTimer housekeeping_timer_;

@@ -33,8 +33,9 @@ void encode_message(BufferWriter& w, const Message& m) {
   w.raw(m.extension);
 }
 
-Result<Message> decode_message(BufferReader& r) {
-  Message m;
+// Decodes into `m` in place: vectors are cleared and refilled, never
+// replaced, so their capacity carries over to the next message.
+Result<void> decode_message(BufferReader& r, Message& m) {
   auto type = r.u8();
   if (!type) return type.error();
   if (*type != static_cast<std::uint8_t>(MsgType::kHello) &&
@@ -65,19 +66,19 @@ Result<Message> decode_message(BufferReader& r) {
       m.hello.willingness = *will;
       auto groups = r.u8();
       if (!groups) return groups.error();
-      for (std::uint8_t g = 0; g < *groups; ++g) {
-        Hello::LinkGroup group;
+      m.hello.links.resize(*groups);
+      for (auto& group : m.hello.links) {
         auto code = r.u8();
         if (!code) return code.error();
         group.code = static_cast<LinkCode>(*code);
         auto count = r.u16();
         if (!count) return count.error();
+        group.neighbors.clear();
         for (std::uint16_t i = 0; i < *count; ++i) {
           auto addr = r.u32();
           if (!addr) return addr.error();
           group.neighbors.push_back(net::Address{*addr});
         }
-        m.hello.links.push_back(std::move(group));
       }
       break;
     }
@@ -87,6 +88,7 @@ Result<Message> decode_message(BufferReader& r) {
       m.tc.ansn = *ansn;
       auto count = r.u16();
       if (!count) return count.error();
+      m.tc.advertised.clear();
       for (std::uint16_t i = 0; i < *count; ++i) {
         auto addr = r.u32();
         if (!addr) return addr.error();
@@ -98,16 +100,54 @@ Result<Message> decode_message(BufferReader& r) {
 
   auto ext_len = r.u16();
   if (!ext_len) return ext_len.error();
-  auto ext = r.raw(*ext_len);
+  auto ext = r.view(*ext_len);
   if (!ext) return ext.error();
-  m.extension = std::move(*ext);
-  return m;
+  m.extension.assign(ext->begin(), ext->end());
+  return {};
+}
+
+// `head` is what verify_crc32 made of all `size` bytes of the packet.
+Result<void> decode_head(std::size_t size,
+                         std::optional<std::span<const std::uint8_t>> head,
+                         Packet& p) {
+  if (size < 4) return fail("olsr: packet shorter than CRC trailer");
+  if (!head) return fail("olsr: CRC mismatch");
+  BufferReader r(*head);
+  auto seq = r.u16();
+  if (!seq) return seq.error();
+  p.pkt_seq = *seq;
+  auto count = r.u8();
+  if (!count) return count.error();
+  p.messages.resize(*count);
+  for (auto& m : p.messages) {
+    if (auto ok = decode_message(r, m); !ok) return ok.error();
+  }
+  return {};
+}
+
+std::size_t wire_size(const Message& m) {
+  std::size_t n = 11;  // type .. msg_seq
+  switch (m.type) {
+    case MsgType::kHello:
+      n += 2;
+      for (const auto& group : m.hello.links) {
+        n += 3 + 4 * group.neighbors.size();
+      }
+      break;
+    case MsgType::kTc:
+      n += 4 + 4 * m.tc.advertised.size();
+      break;
+  }
+  return n + 2 + m.extension.size();
 }
 
 }  // namespace
 
 Bytes encode(const Packet& packet) {
+  std::size_t size = 3 + 4;  // header + CRC trailer
+  for (const auto& m : packet.messages) size += wire_size(m);
   Bytes out;
+  out.reserve(size);
   BufferWriter w(out);
   w.u16(packet.pkt_seq);
   w.u8(static_cast<std::uint8_t>(packet.messages.size()));
@@ -119,22 +159,15 @@ Bytes encode(const Packet& packet) {
 }
 
 Result<Packet> decode(std::span<const std::uint8_t> data) {
-  if (data.size() < 4) return fail("olsr: packet shorter than CRC trailer");
-  const auto head = verify_crc32(data);
-  if (!head) return fail("olsr: CRC mismatch");
-  BufferReader r(*head);
   Packet p;
-  auto seq = r.u16();
-  if (!seq) return seq.error();
-  p.pkt_seq = *seq;
-  auto count = r.u8();
-  if (!count) return count.error();
-  for (std::uint8_t i = 0; i < *count; ++i) {
-    auto m = decode_message(r);
-    if (!m) return m.error();
-    p.messages.push_back(std::move(*m));
+  if (auto ok = decode_head(data.size(), verify_crc32(data), p); !ok) {
+    return ok.error();
   }
   return p;
+}
+
+Result<void> decode_frame(const SharedBytes& frame, Packet& out) {
+  return decode_head(frame.size(), frame.verified_head(), out);
 }
 
 std::string describe(const Message& m) {

@@ -60,8 +60,21 @@ struct Packet {
   std::vector<Message> messages;
 };
 
+/// The wire bytes, CRC trailer included, in a vector of exactly that
+/// capacity.
 Bytes encode(const Packet& packet);
 Result<Packet> decode(std::span<const std::uint8_t> data);
+
+/// decode() of a received frame into `out`, which keeps the capacity of
+/// its vectors from one call to the next: a receiver that reuses one
+/// Packet decodes without allocating once the vectors have grown to the
+/// sizes its traffic needs. The CRC trailer is checked through
+/// SharedBytes::verified_head(), once per buffer however many receivers
+/// share it. Same verdicts and error messages as decode(). On success
+/// every field decode() would set matches it; the fields of the other
+/// message type (`tc` of a HELLO, `hello` of a TC) are left as they were.
+/// On error `out` is unspecified.
+Result<void> decode_frame(const SharedBytes& frame, Packet& out);
 
 std::string describe(const Message& message);
 

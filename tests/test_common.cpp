@@ -96,6 +96,65 @@ TEST(BytesTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
   }
 }
 
+// verified_head() must give verify_crc32's answer, on the first call and
+// on the cached ones after it.
+void expect_verified_head_matches(const SharedBytes& frame) {
+  const auto want = verify_crc32(frame.bytes());
+  for (int call = 0; call < 3; ++call) {
+    const auto got = frame.verified_head();
+    ASSERT_EQ(got.has_value(), want.has_value())
+        << "size " << frame.size() << ", call " << call;
+    if (want) {
+      EXPECT_EQ(got->data(), want->data());
+      EXPECT_EQ(got->size(), want->size());
+    }
+  }
+}
+
+TEST(BytesTest, VerifiedHeadAgreesWithVerifyCrc32) {
+  Rng rng(8);
+  for (int i = 0; i < 500; ++i) {
+    Bytes body(rng.uniform_int(0, 80));
+    for (auto& b : body) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    SCOPED_TRACE("buffer " + std::to_string(i));
+    // Random bytes: a matching trailer is all but impossible.
+    expect_verified_head_matches(SharedBytes(body));
+    // A valid trailer, then the same frame with one bit flipped.
+    append_crc32(body);
+    expect_verified_head_matches(SharedBytes(body));
+    const auto bit = rng.uniform_int(0u, static_cast<std::uint32_t>(
+                                             body.size() * 8 - 1));
+    body[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    expect_verified_head_matches(SharedBytes(body));
+  }
+}
+
+TEST(BytesTest, VerifiedHeadRejectsBuffersShorterThanTheTrailer) {
+  expect_verified_head_matches(SharedBytes());
+  EXPECT_FALSE(SharedBytes().verified_head());
+  for (std::size_t n = 1; n < 4; ++n) {
+    const SharedBytes frame(Bytes(n, 0));
+    EXPECT_FALSE(frame.verified_head()) << "size " << n;
+    expect_verified_head_matches(frame);
+  }
+  // Four bytes are a trailer over nothing: the empty head is valid.
+  Bytes trailer_only;
+  append_crc32(trailer_only);
+  const SharedBytes frame(trailer_only);
+  ASSERT_TRUE(frame.verified_head());
+  EXPECT_TRUE(frame.verified_head()->empty());
+}
+
+TEST(BytesTest, CopiesShareOneVerdict) {
+  Bytes body = {1, 2, 3, 4, 5};
+  append_crc32(body);
+  const SharedBytes frame(body);
+  const SharedBytes copy = frame;  // what each broadcast receiver holds
+  ASSERT_TRUE(frame.verified_head());
+  ASSERT_TRUE(copy.verified_head());
+  EXPECT_EQ(copy.verified_head()->data(), frame.data());
+}
+
 TEST(StringsTest, Trim) {
   EXPECT_EQ(trim("  hi  "), "hi");
   EXPECT_EQ(trim("\thi"), "hi");

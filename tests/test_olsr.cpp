@@ -621,5 +621,58 @@ TEST(OlsrGolden, MobileMprStateMatchesTheRecordedTrace) {
   }
 }
 
+// A broadcast frame's CRC verdict is cached in its shared buffer
+// (SharedBytes::verified_head). A corrupted delivery must still be
+// rejected even when the clean frame was verified before it went out:
+// the medium mangles a copy into a buffer of its own.
+TEST(OlsrFrameCrc, CorruptedCopyOfAVerifiedFrameIsRejected) {
+  sim::Simulator sim(5);
+  net::RadioMedium medium(sim, net::RadioConfig{});
+  std::vector<std::unique_ptr<net::Host>> hosts;
+  const net::Position positions[] = {{0, 0}, {50, 0}, {0, 50}};
+  for (std::size_t i = 0; i < 3; ++i) {
+    hosts.push_back(std::make_unique<net::Host>(
+        sim, static_cast<net::NodeId>(i), "n" + std::to_string(i)));
+    hosts.back()->attach_radio(
+        medium, Address(10, 0, 0, static_cast<std::uint8_t>(i + 1)),
+        std::make_shared<net::StaticMobility>(positions[i]));
+  }
+  // n0 only transmits; its two neighbors run OLSR.
+  Olsr n1(*hosts[1]);
+  Olsr n2(*hosts[2]);
+  n1.start();
+  n2.start();
+
+  olsr::Message tc;
+  tc.type = olsr::MsgType::kTc;
+  tc.originator = Address(10, 0, 0, 1);
+  tc.ttl = 255;
+  tc.msg_seq = 1;
+  tc.tc.advertised = {Address(10, 0, 0, 2), Address(10, 0, 0, 3)};
+  olsr::Packet p;
+  p.messages.push_back(tc);
+  net::Datagram d;
+  d.src = Address(10, 0, 0, 1);
+  d.dst = net::kBroadcastAddress;
+  d.src_port = net::kOlsrPort;
+  d.dst_port = net::kOlsrPort;
+  d.ttl = 1;
+  d.payload = olsr::encode(p);
+  ASSERT_TRUE(d.payload.verified_head());  // the clean buffer is cached valid
+
+  net::FaultKnobs knobs;
+  knobs.corrupt_probability = 1.0;
+  medium.set_fault_knobs(knobs);
+  medium.transmit(net::Frame{0, net::kBroadcastMac, d});
+  // Both receptions are due long before the first HELLO (200 ms).
+  sim.run_for(milliseconds(50));
+
+  const auto& metrics = sim.ctx().metrics();
+  EXPECT_EQ(medium.stats().frames_corrupted, 2u);
+  EXPECT_EQ(metrics.counter_total("routing.decode_errors_total"), 2u);
+  EXPECT_EQ(metrics.counter_total("chaos.corrupt_accepted_total"), 0u);
+  EXPECT_TRUE(d.payload.verified_head());
+}
+
 }  // namespace
 }  // namespace siphoc::routing

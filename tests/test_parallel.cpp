@@ -195,5 +195,40 @@ TEST(WorkerPoolTest, BackToBackRunsClaimEveryIndexExactlyOnce) {
   }
 }
 
+// A broadcast frame received on two region lanes is one SharedBytes buffer
+// read by two threads: both may compute the cached CRC verdict at once.
+TEST(SharedBytesConcurrency, TwoThreadsVerifyOneBufferAlike) {
+  constexpr int kBuffers = 256;
+  std::vector<SharedBytes> frames;
+  std::vector<bool> valid;
+  for (int i = 0; i < kBuffers; ++i) {
+    Bytes body(static_cast<std::size_t>(i % 40), static_cast<std::uint8_t>(i));
+    append_crc32(body);
+    if (i % 3 == 0) body.front() ^= 0x80;  // every third is corrupt
+    valid.push_back(verify_crc32(body).has_value());
+    frames.emplace_back(std::move(body));
+  }
+  std::atomic<bool> go{false};
+  std::array<int, 2> mismatches{};
+  const auto verify_all = [&](int t) {
+    while (!go.load(std::memory_order_acquire)) {
+    }
+    for (int i = 0; i < kBuffers; ++i) {
+      const auto head = frames[i].verified_head();
+      if (head.has_value() != valid[i] ||
+          (head && head->size() != frames[i].size() - 4)) {
+        ++mismatches[t];
+      }
+    }
+  };
+  std::thread a(verify_all, 0);
+  std::thread b(verify_all, 1);
+  go.store(true, std::memory_order_release);
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches[0], 0);
+  EXPECT_EQ(mismatches[1], 0);
+}
+
 }  // namespace
 }  // namespace siphoc::scenario

@@ -14,7 +14,10 @@ alike.
 Prints, per seed and for every end-to-end metric and the child's user CPU
 time, the median of each side, the median of the per-pair ratios NEW / BASE
 and the number of pairs NEW won (lower is better for all of them); then one
-run_s row per seed with both sides' quartiles. Exits 1 when the virtual
+run_s row per seed with both sides' quartiles, and one run_s verdict per
+seed: "gain" when NEW won at least nine tenths of the pairs (ties count for
+neither side) and its median is lower than BASE's by more than BASE's
+interquartile range, otherwise "unresolved". Exits 1 when the virtual
 outputs differ -- on any seed, a digest of NEW differs from BASE's, or a
 run reports failed operations or failed checks -- or a driver exits
 non-zero, and 2 on usage errors (including a missing driver).
@@ -68,6 +71,21 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return q1, q2, q3
+
+
+def verdict(base, new):
+    """"gain" or "unresolved" for two lists of paired samples, lower better.
+
+    A gain needs NEW to win at least 9 of every 10 pairs and the medians to
+    differ by more than BASE's own spread (q3 - q1): with one binary's run_s
+    spanning tens of percent on a shared host, anything less is noise.
+    """
+    won = sum(n < b for b, n in zip(base, new))
+    bq1, bmed, bq3 = quartiles(base)
+    _, nmed, _ = quartiles(new)
+    if 10 * won >= 9 * len(base) and bmed - nmed > bq3 - bq1:
+        return "gain"
+    return "unresolved"
 
 
 def run_seed(drivers, args, seed):
@@ -133,14 +151,19 @@ def main():
         new = [s["run_s"] for s in samples["new"]]
         rows.append((seed, quartiles(base), quartiles(new),
                      statistics.median(n / b for b, n in zip(base, new)),
-                     sum(n < b for b, n in zip(base, new))))
+                     sum(n < b for b, n in zip(base, new)),
+                     verdict(base, new)))
 
     print(f"{'seed':>6}  {'base run_s q1 / median / q3':>28}  "
           f"{'new run_s q1 / median / q3':>28}  {'new/base':>8}  won")
-    for seed, bq, nq, ratio, won in rows:
+    for seed, bq, nq, ratio, won, _ in rows:
         print(f"{seed:>6}  {bq[0]:8.4f} {bq[1]:9.4f} {bq[2]:9.4f}  "
               f"{nq[0]:8.4f} {nq[1]:9.4f} {nq[2]:9.4f}  {ratio:8.3f}  "
               f"{won}/{args.pairs}")
+    for seed, bq, nq, _, won, result in rows:
+        print(f"verdict seed {seed}: {result} (won {won}/{args.pairs}, "
+              f"median drop {bq[1] - nq[1]:.4f} s vs base IQR "
+              f"{bq[2] - bq[0]:.4f} s)")
     for p in problems:
         print(f"CHECK FAILED: {p}")
     return 1 if problems else 0
