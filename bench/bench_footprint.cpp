@@ -10,7 +10,7 @@
 //     contains the entire middleware (all four services + routing + SIP +
 //     RTP stacks) -- the analog of the paper's flash-footprint number;
 //   * runtime state: bytes of live protocol state per component on a busy
-//     25-node deployment (bindings, SLP caches, routing tables, FIB).
+//     25-node deployment (bindings, SLP caches, routes).
 #include <sys/stat.h>
 
 #include <fstream>
@@ -65,7 +65,9 @@ StateReport measure_node(NodeStack& stack) {
   report.proxy_bindings = stack.proxy().binding_count();
   report.proxy_bytes =
       report.proxy_bindings * (sizeof(SiphocProxy::Binding) + 32);
-  report.fib_routes = stack.host().routes().size();
+  // The daemon holds the node's routes; each is costed at one host route
+  // entry, the size a kernel forwarding table would spend on it.
+  report.fib_routes = stack.routing().route_count();
   report.fib_bytes = report.fib_routes * sizeof(net::RouteEntry);
   return report;
 }

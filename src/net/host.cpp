@@ -124,17 +124,15 @@ void Host::add_route(RouteEntry entry) {
   routes_.push_back(entry);
 }
 
-void Host::remove_route(Address prefix, int prefix_len) {
-  std::erase_if(routes_, [&](const RouteEntry& r) {
-    return r.prefix == prefix && r.prefix_len == prefix_len;
-  });
-}
-
 void Host::clear_routes(Interface iface) {
   std::erase_if(routes_, [&](const RouteEntry& r) { return r.iface == iface; });
 }
 
 std::optional<RouteEntry> Host::lookup_route(Address dst) const {
+  if (route_source_) {
+    if (auto route = route_source_(dst)) return route;
+    if (dst.in_prefix(kManetPrefix, kManetPrefixLen)) return std::nullopt;
+  }
   const RouteEntry* best = nullptr;
   for (const auto& r : routes_) {
     if (!r.matches(dst)) continue;
@@ -154,16 +152,19 @@ void Host::on_radio_frame(const Frame& frame) {
     deliver_local(d, info);
     return;
   }
+  forward(d);
+}
+
+void Host::forward(Datagram d) {
   if (!forwarding_) return;
-  Datagram fwd = d;
-  if (fwd.ttl <= 1) {
+  if (d.ttl <= 1) {
     ++stats_.ttl_drops;
     return;
   }
-  fwd.ttl -= 1;
+  d.ttl -= 1;
   ++stats_.forwarded;
-  if (forward_tap_) forward_tap_(fwd);
-  route_and_send(std::move(fwd));
+  if (forward_tap_) forward_tap_(d);
+  route_and_send(std::move(d));
 }
 
 void Host::route_and_send(Datagram d) {
@@ -248,15 +249,7 @@ void Host::inject(Datagram d, Interface iface) {
     deliver_local(d, RxInfo{iface, id_, d.corrupted});
     return;
   }
-  if (!forwarding_) return;
-  if (d.ttl <= 1) {
-    ++stats_.ttl_drops;
-    return;
-  }
-  d.ttl -= 1;
-  ++stats_.forwarded;
-  if (forward_tap_) forward_tap_(d);
-  route_and_send(std::move(d));
+  forward(std::move(d));
 }
 
 }  // namespace siphoc::net

@@ -8,8 +8,10 @@
 //   * optionally a wired interface on the Internet segment (gateway nodes
 //     and SIP provider servers),
 //   * optionally a tunnel interface installed by the Connection Provider,
-//   * a prefix routing table with longest-prefix-match lookup, populated by
-//     the MANET routing daemon (AODV/OLSR) and by the tunnel code,
+//   * a short table of static prefix routes (the on-link MANET subnet, the
+//     Internet, tunnel leases) with longest-prefix-match lookup; a running
+//     MANET routing daemon (AODV/OLSR) answers for the MANET subnet itself
+//     through set_route_source, so its routes live in the daemon only,
 //   * a UDP port space with bind/sendto semantics.
 //
 // IP forwarding is on by default: datagrams addressed elsewhere are
@@ -115,11 +117,23 @@ class Host {
 
   // --- routing table ------------------------------------------------------
   void add_route(RouteEntry entry);
-  /// Removes routes with this exact prefix/len (any next hop).
-  void remove_route(Address prefix, int prefix_len);
   void clear_routes(Interface iface);
+  /// The route a datagram to `dst` takes: the route source's /32 when it
+  /// has one; none for another MANET address while a source is installed
+  /// (the daemon owns the subnet, so the on-link /24 must not make the
+  /// address look one hop away); otherwise the static route with the
+  /// longest prefix, then the lowest metric, then the first added.
   std::optional<RouteEntry> lookup_route(Address dst) const;
+  /// The static routes only.
   const std::vector<RouteEntry>& routes() const { return routes_; }
+
+  /// The running MANET routing daemon's own route to a destination, or
+  /// nullopt when it has none. Installed by the daemon's start() and
+  /// cleared by its stop().
+  using RouteSource = std::function<std::optional<RouteEntry>(Address)>;
+  void set_route_source(RouteSource source) {
+    route_source_ = std::move(source);
+  }
 
   /// The MANET routing daemon claims datagrams that have no route yet
   /// (on-demand protocols buffer them and start a route discovery). Return
@@ -158,6 +172,9 @@ class Host {
 
  private:
   void on_radio_frame(const Frame& frame);
+  /// Forwards a datagram addressed elsewhere: TTL check and decrement,
+  /// the forward tap, then routing.
+  void forward(Datagram d);
   void route_and_send(Datagram d);
   void deliver_local(const Datagram& d, const RxInfo& info);
   bool transmit_radio(const Datagram& d, Address next_hop);
@@ -179,6 +196,7 @@ class Host {
   std::function<void(Datagram)> tunnel_encap_;
 
   std::vector<RouteEntry> routes_;
+  RouteSource route_source_;
   std::map<std::uint16_t, UdpHandler> udp_;
   std::function<bool(Datagram)> route_resolver_;
   std::function<void(const Frame&)> link_failure_;

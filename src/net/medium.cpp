@@ -27,7 +27,10 @@ void merge_stats(MediumStats& into, const MediumStats& from) {
 }  // namespace
 
 RadioMedium::RadioMedium(sim::Simulator& sim, RadioConfig config)
-    : sim_(sim), config_(config) {
+    : sim_(sim),
+      config_(config),
+      scratch_(sim.lane_count()),
+      lane_stats_(sim.lane_count()) {
   // See in_range() for why the band makes the squared test exact.
   const double reject = config_.range * (1 + 1e-9);
   const double accept = config_.range > 0 ? config_.range * (1 - 1e-9) : 0.0;
@@ -36,10 +39,8 @@ RadioMedium::RadioMedium(sim::Simulator& sim, RadioConfig config)
 }
 
 void RadioMedium::configure_lanes(std::function<std::uint32_t(NodeId)> lane_of) {
-  sharded_ = true;
+  assert(lane_stats_.size() == sim_.lane_count());
   lane_of_ = std::move(lane_of);
-  lane_stats_.assign(sim_.lane_count(), MediumStats{});
-  scratch_.resize(sim_.lane_count());
   index_dirty_ = true;
   sim_.set_epoch_hook([this] { epoch_refresh(); });
 }
@@ -53,14 +54,12 @@ void RadioMedium::epoch_refresh() {
 }
 
 const MediumStats& RadioMedium::stats() const {
-  if (!sharded_) return stats_;
   agg_stats_ = MediumStats{};
   for (const MediumStats& shard : lane_stats_) merge_stats(agg_stats_, shard);
   return agg_stats_;
 }
 
 void RadioMedium::reset_stats() {
-  stats_ = {};
   for (MediumStats& shard : lane_stats_) shard = {};
 }
 
@@ -259,10 +258,10 @@ void RadioMedium::transmit(const Frame& frame) {
   // a disabled one, but without touching the attachment state.
   if (!jammed_.empty() && jammed_.contains(frame.src_mac)) return;
 
-  // Sharded runs keep one stats shard and one scratch block per lane;
-  // aggregation happens in stats() at barrier time.
-  const std::uint32_t lane = sharded_ ? sim_.current_lane() : 0;
-  MediumStats& st = sharded_ ? lane_stats_[lane] : stats_;
+  // One stats shard and one scratch block per lane; aggregation happens
+  // in stats() at barrier time.
+  const std::uint32_t lane = sim_.current_lane();
+  MediumStats& st = lane_stats_[lane];
   ++st.frames_sent;
   st.bytes_sent += frame.wire_size();
   auto& cls = st.by_class[classify(frame.datagram)];
@@ -373,7 +372,7 @@ void RadioMedium::transmit(const Frame& frame) {
           faults_.reorder_delay * sim_.rng().uniform());
     }
     ++st.frames_delivered;
-    const std::uint32_t rx_lane = sharded_ ? lane_by_radio_[i] : 0;
+    const std::uint32_t rx_lane = lane_by_radio_[i];
     std::shared_ptr<const Frame> mangled;
     if (corrupt) {
       ++st.frames_corrupted;

@@ -135,11 +135,11 @@ class RadioMedium {
 
   // --- region sharding (docs/ARCHITECTURE.md) ---------------------------
   /// Installs the MAC -> lane mapping for a sharded simulation: frame
-  /// deliveries are scheduled onto the receiving radio's lane, per-lane
-  /// stats shards replace the single counter block, and the medium
-  /// registers itself as the simulator's epoch hook (spatial index rebuild
-  /// + mobile-position snapshot at every window barrier). Call after
-  /// Simulator::enable_parallelism and before attaching radios.
+  /// deliveries are scheduled onto the receiving radio's lane, and the
+  /// medium registers itself as the simulator's epoch hook (spatial index
+  /// rebuild + mobile-position snapshot at every window barrier). The
+  /// medium must have been built after Simulator::enable_parallelism; call
+  /// this before attaching radios.
   void configure_lanes(std::function<std::uint32_t(NodeId)> lane_of);
 
   /// Barrier-time refresh: rebuilds the spatial index if dirty and
@@ -157,8 +157,8 @@ class RadioMedium {
   /// True when the two radios are currently within range (and not filtered).
   bool connected(NodeId a, NodeId b) const;
 
-  /// Aggregated over lane shards in sharded mode; read at a barrier (i.e.
-  /// not from concurrently-running region events).
+  /// Aggregated over the lane shards; read at a barrier (i.e. not from
+  /// concurrently-running region events).
   const MediumStats& stats() const;
   void reset_stats();
   const RadioConfig& config() const { return config_; }
@@ -229,29 +229,28 @@ class RadioMedium {
     const RadioAttachment* rx = nullptr;
     std::shared_ptr<const Frame> mangled;
   };
-  /// Reused per transmit: one block per lane (just lane 0 when unsharded).
+  /// Reused per transmit: one block per lane.
   struct TxScratch {
     std::vector<std::uint32_t> candidates;
     std::vector<OnTime> on_time;  // in candidate order
     // (lane, receptions) per delivery group, in order of first reception.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> groups;
   };
-  std::vector<TxScratch> scratch_ = std::vector<TxScratch>(1);
+  // Per lane of the simulator (one when unsharded), indexed by the lane
+  // running the transmit, so region lanes never share mutable state.
+  std::vector<TxScratch> scratch_;
+  std::vector<MediumStats> lane_stats_;
+  mutable MediumStats agg_stats_;
 
-  // Sharded-mode state. `lane_by_radio_` mirrors radios_ (rebuilt with the
-  // index); `mobile_position_cache_` is the barrier snapshot concurrent
-  // windows read; scratch_ and stats become per-lane to keep region lanes
-  // from sharing mutable state.
-  bool sharded_ = false;
+  // `lane_by_radio_` mirrors radios_ (rebuilt with the index; all lane 0
+  // without configure_lanes); `mobile_position_cache_` is the barrier
+  // snapshot concurrent windows read.
   std::function<std::uint32_t(NodeId)> lane_of_;
   std::vector<std::uint32_t> lane_by_radio_;
   std::vector<Position> mobile_position_cache_;
-  std::vector<MediumStats> lane_stats_;
-  mutable MediumStats agg_stats_;
   std::unordered_map<Address, NodeId> arp_;
   std::function<bool(NodeId, NodeId)> link_filter_;
   std::function<void(const Frame&, TimePoint)> tap_;
-  MediumStats stats_;
 
   struct LossRamp {
     TimePoint t0;

@@ -26,22 +26,18 @@ Aodv::Aodv(net::Host& host, AodvConfig config)
     : host_(host),
       config_(config),
       log_(host.sim().ctx().log(), "aodv", host.name()),
-      metrics_(host.sim().ctx().metrics(), host.name()) {
-  table_.set_callbacks([this](const AodvRoute& r) { install_fib(r); },
-                       [this](const AodvRoute& r) { remove_fib(r); });
-}
+      metrics_(host.sim().ctx().metrics(), host.name()) {}
 
 Aodv::~Aodv() { stop(); }
 
 void Aodv::start() {
   if (running_) return;
   running_ = true;
-  // The routing daemon owns the FIB: the convenience on-link /24 route the
-  // radio installs would make every MANET address look one hop away and
-  // suppress on-demand discovery. Only protocol-learned /32 routes remain.
-  host_.remove_route(net::kManetPrefix, net::kManetPrefixLen);
   host_.bind(net::kAodvPort, [this](const net::Datagram& d,
                                     const net::RxInfo& rx) { on_packet(d, rx); });
+  // The daemon owns the MANET subnet: an address it has no route to gets
+  // none from the on-link /24 either, which leaves it to discovery.
+  host_.set_route_source([this](net::Address dst) { return route_to(dst); });
   host_.set_route_resolver(
       [this](net::Datagram d) { return on_no_route(std::move(d)); });
   host_.set_link_failure_listener([this](const net::Frame& f) {
@@ -86,11 +82,16 @@ void Aodv::stop() {
   for (auto& [dst, pending] : discoveries_) pending.timeout.cancel();
   discoveries_.clear();
   host_.unbind(net::kAodvPort);
+  host_.set_route_source(nullptr);
   host_.set_route_resolver(nullptr);
   host_.set_link_failure_listener(nullptr);
-  host_.clear_routes(net::Interface::kRadio);
-  host_.add_route({net::kManetPrefix, net::kManetPrefixLen, std::nullopt,
-                   net::Interface::kRadio, /*metric=*/100});
+}
+
+std::optional<net::RouteEntry> Aodv::route_to(net::Address dst) const {
+  const AodvRoute* r = table_.find(dst);
+  if (r == nullptr || !r->valid) return std::nullopt;
+  return net::RouteEntry{dst, 32, r->next_hop, net::Interface::kRadio,
+                         r->hop_count};
 }
 
 std::size_t Aodv::buffered_count() const {
@@ -509,19 +510,6 @@ void Aodv::send_rerr(
     send_packet(rerr, net::Address{},
                 PacketInfo{PacketKind::kAodvRerr, self(), net::Address{}});
   }
-}
-
-// --------------------------------------------------------------------------
-// FIB mirroring
-// --------------------------------------------------------------------------
-
-void Aodv::install_fib(const AodvRoute& route) {
-  host_.add_route({route.dst, 32, route.next_hop, net::Interface::kRadio,
-                   route.hop_count});
-}
-
-void Aodv::remove_fib(const AodvRoute& route) {
-  host_.remove_route(route.dst, 32);
 }
 
 }  // namespace siphoc::routing

@@ -57,6 +57,7 @@ class Aodv final : public Protocol {
   void set_handler(RoutingHandler* handler) override { handler_ = handler; }
   bool flood_query(Bytes extension) override;
   const RoutingStats& stats() const override { return stats_; }
+  std::size_t route_count() const override { return table_.valid_count(); }
 
   const AodvTable& table() const { return table_; }
   const AodvConfig& config() const { return config_; }
@@ -124,8 +125,10 @@ class Aodv final : public Protocol {
                      unreachable,
                  const std::vector<net::Address>& precursors);
 
-  void install_fib(const AodvRoute& route);
-  void remove_fib(const AodvRoute& route);
+  /// The host's route to `dst` (see net::Host::set_route_source): the
+  /// table entry while it is valid. Not active(): an entry past its
+  /// lifetime keeps routing until housekeeping expires it.
+  std::optional<net::RouteEntry> route_to(net::Address dst) const;
 
   net::Host& host_;
   AodvConfig config_;

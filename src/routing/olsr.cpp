@@ -31,11 +31,11 @@ void Olsr::start() {
   if (running_) return;
   running_ = true;
   self_id_ = intern(self());
-  // The daemon owns the FIB (see Aodv::start): drop the on-link /24 so
-  // only computed routes are used.
-  host_.remove_route(net::kManetPrefix, net::kManetPrefixLen);
   host_.bind(net::kOlsrPort, [this](const net::Datagram& d,
                                     const net::RxInfo& rx) { on_packet(d, rx); });
+  // The daemon owns the MANET subnet (see Aodv::start): only computed
+  // routes are used.
+  host_.set_route_source([this](net::Address dst) { return route_to(dst); });
   hello_timer_.start(host_.sim(), config_.hello_interval,
                      [this] { send_hello(); }, milliseconds(200));
   tc_timer_.start(host_.sim(), config_.tc_interval, [this] { send_tc(); },
@@ -53,15 +53,13 @@ void Olsr::stop() {
   route_calc_.cancel();
   route_calc_pending_ = false;
   host_.unbind(net::kOlsrPort);
-  for (const auto& r : installed_routes_) host_.remove_route(r.dst, 32);
-  installed_routes_.clear();
-  // Forget the input snapshot: the empty FIB now corresponds to empty
+  host_.set_route_source(nullptr);
+  routes_.clear();
+  // Forget the input snapshot: the empty routes_ now corresponds to empty
   // inputs, so a restart must not early-out of its first recalculation.
   route_sym_last_.clear();
   route_edges_last_.clear();
   routes_dirty_ = true;
-  host_.add_route({net::kManetPrefix, net::kManetPrefixLen, std::nullopt,
-                   net::Interface::kRadio, /*metric=*/100});
 }
 
 void Olsr::nudge_advertisement() {
@@ -87,10 +85,16 @@ const std::set<net::Address>& Olsr::mpr_set() {
 }
 
 bool Olsr::has_route(net::Address dst) const {
+  return route_to(dst).has_value();
+}
+
+std::optional<net::RouteEntry> Olsr::route_to(net::Address dst) const {
   const auto it = std::lower_bound(
-      installed_routes_.begin(), installed_routes_.end(), dst,
+      routes_.begin(), routes_.end(), dst,
       [](const Route& r, net::Address a) { return r.dst < a; });
-  return it != installed_routes_.end() && it->dst == dst;
+  if (it == routes_.end() || it->dst != dst) return std::nullopt;
+  return net::RouteEntry{dst, 32, it->next_hop, net::Interface::kRadio,
+                         it->metric};
 }
 
 std::uint32_t Olsr::intern(net::Address a) {
@@ -431,7 +435,7 @@ void Olsr::calculate_routes() {
 
   // Snapshot the inputs: the symmetric neighbors (sorted, which is also
   // the BFS seed order) and the live edges in scan order. An unchanged
-  // snapshot would make the BFS below reproduce installed_routes_
+  // snapshot would make the BFS below reproduce routes_
   // bit-for-bit, so it only moves the deadline.
   TimePoint deadline = TimePoint::max();
   route_sym_scratch_.clear();
@@ -503,24 +507,7 @@ void Olsr::calculate_routes() {
     routes.push_back({addr, node_addrs_[bfs_.next_hop[v]], bfs_.distance[v]});
   }
 
-  // Mirror into the host FIB with a two-pointer diff of the sorted
-  // vectors: touch only routes whose next hop or metric actually changed
-  // (ascending dst), then drop vanished ones (ascending dst). Steady state
-  // (converged network, periodic TCs) then costs zero FIB writes.
-  auto old = installed_routes_.cbegin();
-  for (const Route& r : routes) {
-    while (old != installed_routes_.cend() && old->dst < r.dst) ++old;
-    if (old != installed_routes_.cend() && *old == r) continue;
-    host_.add_route({r.dst, 32, r.next_hop, net::Interface::kRadio, r.metric});
-  }
-  auto cur = routes.cbegin();
-  for (const Route& r : installed_routes_) {
-    while (cur != routes.cend() && cur->dst < r.dst) ++cur;
-    if (cur == routes.cend() || cur->dst != r.dst) {
-      host_.remove_route(r.dst, 32);
-    }
-  }
-  installed_routes_.swap(routes);
+  routes_.swap(routes);
 }
 
 void Olsr::expire_state() {

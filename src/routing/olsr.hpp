@@ -4,7 +4,8 @@
 // neighborhood tracking, greedy MPR selection, TC origination by nodes with
 // MPR selectors, MPR-based default forwarding with duplicate suppression,
 // a topology set with validity times, and hop-count shortest-path (BFS)
-// route computation mirrored into the host FIB. Route recalculation is
+// route computation; the host asks the daemon for its routes on every send
+// (net::Host::set_route_source). Route recalculation is
 // skipped while its inputs provably cannot have changed, and MPR selection
 // runs only when the set is used, evaluated at the time of its last input
 // change (docs/PERFORMANCE.md section 5).
@@ -53,6 +54,7 @@ class Olsr final : public Protocol {
   void nudge_advertisement() override;
 
   const RoutingStats& stats() const override { return stats_; }
+  std::size_t route_count() const override { return routes_.size(); }
 
   // Introspection for tests.
   std::set<net::Address> symmetric_neighbors() const {
@@ -81,7 +83,6 @@ class Olsr final : public Protocol {
     net::Address dst;
     net::Address next_hop;
     int metric = 0;
-    friend bool operator==(const Route&, const Route&) = default;
   };
 
   struct Metrics {
@@ -119,6 +120,9 @@ class Olsr final : public Protocol {
   }
   void schedule_route_calc();
   void calculate_routes();
+  /// The host's route to `dst` (see net::Host::set_route_source): the
+  /// route of the last calculation.
+  std::optional<net::RouteEntry> route_to(net::Address dst) const;
   void expire_state();
   /// Dense id of a node address, assigned on first sight and never reused.
   std::uint32_t intern(net::Address a);
@@ -177,13 +181,13 @@ class Olsr final : public Protocol {
   };
   std::deque<SeenTc> duplicate_fifo_;
 
-  // Routes currently mirrored into the host FIB, sorted by dst; lets route
-  // recalculation skip FIB writes for unchanged entries.
-  std::vector<Route> installed_routes_;
+  // The routes of the last calculation, sorted by dst: what the host's
+  // lookups are answered from.
+  std::vector<Route> routes_;
   // Input snapshot from the last route calculation (symmetric neighbors
   // as (address, id), sorted; live topology edges as flat last_hop/dest id
   // pairs in scan order) plus reusable scratch. A recalc whose snapshot
-  // matches the previous one returns without touching the FIB.
+  // matches the previous one returns without touching routes_.
   std::vector<std::pair<net::Address, std::uint32_t>> route_sym_last_;
   std::vector<std::pair<net::Address, std::uint32_t>> route_sym_scratch_;
   std::vector<std::uint32_t> route_edges_last_;
@@ -198,7 +202,7 @@ class Olsr final : public Protocol {
   TimePoint routes_deadline_{};
   // BFS scratch over node ids, reused across recalculations: CSR
   // adjacency (offsets/cursor/targets), per-node hop state, FIFO queue,
-  // and the result in address order.
+  // and the result in address order (swapped into routes_).
   struct Bfs {
     std::vector<std::uint32_t> offsets, cursor, targets;
     std::vector<int> distance;

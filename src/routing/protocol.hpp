@@ -132,6 +132,10 @@ class Protocol {
   virtual void nudge_advertisement() {}
 
   virtual const RoutingStats& stats() const = 0;
+
+  /// Destinations the daemon currently holds a usable route to: the
+  /// routes it answers the host's lookups with while it runs.
+  virtual std::size_t route_count() const = 0;
 };
 
 }  // namespace siphoc::routing

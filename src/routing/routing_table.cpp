@@ -50,7 +50,6 @@ AodvRoute* AodvTable::update(net::Address dst, std::uint32_t seqno,
   r.next_hop = next_hop;
   r.expires = expires;
   r.valid = true;
-  notify_installed(r);  // fresh entry, or next hop changed: (re)install
   return &r;
 }
 
@@ -64,7 +63,6 @@ std::vector<net::Address> AodvTable::invalidate(net::Address dst) {
   if (r == nullptr || !r->valid) return {};
   r->valid = false;
   if (r->valid_seqno) ++r->seqno;  // RFC 6.11: increment on invalidation
-  notify_removed(*r);
   std::vector<net::Address> precursors(r->precursors.begin(),
                                        r->precursors.end());
   r->precursors.clear();
@@ -78,7 +76,6 @@ std::vector<std::pair<net::Address, std::uint32_t>> AodvTable::on_link_break(
     if (r.valid && r.next_hop == neighbor) {
       r.valid = false;
       if (r.valid_seqno) ++r.seqno;
-      notify_removed(r);
       broken.emplace_back(dst, r.seqno);
       r.precursors.clear();
     }
@@ -90,7 +87,6 @@ void AodvTable::expire(TimePoint now) {
   for (auto& [dst, r] : routes_) {
     if (r.valid && r.expires <= now) {
       r.valid = false;
-      notify_removed(r);
       r.precursors.clear();
     }
   }

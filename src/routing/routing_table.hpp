@@ -1,11 +1,11 @@
 // AODV routing table (RFC 3561 section 6.2).
 //
-// Distinct from the host forwarding table: this one carries the protocol
-// state (sequence numbers, lifetimes, precursor lists, validity) and mirrors
-// its valid entries into the host FIB via callbacks.
+// The only copy of the daemon's routes: the protocol state (sequence
+// numbers, lifetimes, precursor lists, validity) per destination. The host
+// asks the daemon for a route on every send (net::Host::set_route_source),
+// and the daemon answers with the entry here while it is valid.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -29,15 +29,6 @@ struct AodvRoute {
 
 class AodvTable {
  public:
-  /// Invoked when an entry becomes usable / stops being usable; the daemon
-  /// wires these to host FIB add/remove.
-  using RouteCallback = std::function<void(const AodvRoute&)>;
-
-  void set_callbacks(RouteCallback installed, RouteCallback removed) {
-    installed_ = std::move(installed);
-    removed_ = std::move(removed);
-  }
-
   const AodvRoute* find(net::Address dst) const;
   AodvRoute* find(net::Address dst);
 
@@ -71,16 +62,7 @@ class AodvTable {
   std::size_t valid_count() const;
 
  private:
-  void notify_installed(const AodvRoute& r) {
-    if (installed_) installed_(r);
-  }
-  void notify_removed(const AodvRoute& r) {
-    if (removed_) removed_(r);
-  }
-
   std::unordered_map<net::Address, AodvRoute> routes_;
-  RouteCallback installed_;
-  RouteCallback removed_;
 };
 
 }  // namespace siphoc::routing

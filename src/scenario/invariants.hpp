@@ -42,7 +42,7 @@ struct InvariantConfig {
   /// check intervals of quiet air.
   std::size_t reattach_checks = 4;
   /// I5 fires only after this much engine quiet (must exceed the rings'
-  /// stabilize_interval * (probe_tolerance + 1) so repair has quiesced).
+  /// kStabilizeInterval * (kProbeTolerance + 1) so repair has quiesced).
   Duration p2p_quiet = seconds(8);
 };
 

@@ -11,6 +11,34 @@ namespace siphoc::sip {
 
 namespace {
 
+/// The resolver's UDP port on its wired address.
+constexpr std::uint16_t kPort = 5070;
+/// Bindings are replicated to this many ring successors of the
+/// responsible node, so a node loss does not lose the binding.
+constexpr std::size_t kSuccessorCount = 2;
+/// End-to-end resolve budget; the per-attempt retry ladder lives inside
+/// this window.
+constexpr Duration kLookupTimeout = seconds(2);
+/// Maintenance timer period: successor probing, failure repair, finger
+/// fixing. Zero jitter -- stabilization must not perturb the
+/// deterministic packet schedule.
+constexpr Duration kStabilizeInterval = seconds(2);
+/// Consecutive unanswered probes before a successor is declared dead.
+constexpr int kProbeTolerance = 2;
+/// First per-hop GET timeout; doubles per retry attempt.
+constexpr Duration kRetryInitial = milliseconds(250);
+/// Retransmissions through an alternate hop after the first GET.
+constexpr int kRetryMax = 3;
+/// How long a node stays on the dead-node suspicion list (next_hop
+/// avoids suspects) before it gets another chance.
+constexpr Duration kSuspectTtl = seconds(10);
+/// In-flight resolve cap: beyond this, new resolves fail immediately
+/// (p2p.resolve_dropped_total) instead of growing pending_ unbounded.
+constexpr std::size_t kMaxPending = 64;
+/// GET forwarding TTL: queries caught in a routing loop mid-churn are
+/// dropped (p2p.ttl_drops_total), not forwarded forever.
+constexpr int kMaxHops = 32;
+
 /// Ring-hop count buckets: diameters stay in the single digits for any
 /// ring this testbed builds, 16+ means the finger tables are broken.
 constexpr double kHopBuckets[] = {1, 2, 3, 4, 6, 8, 12, 16};
@@ -42,12 +70,11 @@ std::vector<std::string_view> fields(std::string_view line) {
 
 }  // namespace
 
-P2pResolver::P2pResolver(net::Host& host, P2pConfig config)
+P2pResolver::P2pResolver(net::Host& host)
     : host_(host),
-      config_(config),
       log_(host.sim().ctx().log(), "p2p", host.name()),
-      node_id_(id_of({host.wired_address(), config.port})) {
-  host_.bind(config_.port, [this](const net::Datagram& d, const net::RxInfo&) {
+      node_id_(id_of({host.wired_address(), kPort})) {
+  host_.bind(kPort, [this](const net::Datagram& d, const net::RxInfo&) {
     on_datagram(d);
   });
   // Replicated records expire like any binding; sweep them on a coarse
@@ -56,7 +83,7 @@ P2pResolver::P2pResolver(net::Host& host, P2pConfig config)
             [this] { records_.purge_expired(host_.sim().now()); });
   // Stabilization: successor probing, failure repair, finger fixing. Zero
   // jitter for the same reason; a singleton view makes the tick a no-op.
-  maintenance_.start(host_.sim(), config_.stabilize_interval,
+  maintenance_.start(host_.sim(), kStabilizeInterval,
                      [this] { on_stabilize_tick(); });
 }
 
@@ -71,11 +98,11 @@ P2pResolver::~P2pResolver() {
     pending.retry.cancel();
   }
   pending_.clear();
-  host_.unbind(config_.port);
+  host_.unbind(kPort);
 }
 
 net::Endpoint P2pResolver::endpoint() const {
-  return {host_.wired_address(), config_.port};
+  return {host_.wired_address(), kPort};
 }
 
 std::uint64_t P2pResolver::id_of(net::Endpoint endpoint) {
@@ -181,7 +208,7 @@ void P2pResolver::rebuild_routes() {
   predecessor_id_ = view_[(self_index + n - 1) % n].id;
 
   successors_.clear();
-  for (std::size_t k = 1; k <= config_.successor_count && k < n; ++k) {
+  for (std::size_t k = 1; k <= kSuccessorCount && k < n; ++k) {
     successors_.push_back(view_[(self_index + k) % n]);
   }
 
@@ -282,7 +309,7 @@ void P2pResolver::on_stabilize_tick() {
   std::vector<RingNode> dead;
   for (const RingNode& succ : successors_) {
     const auto it = probe_misses_.find(succ.id);
-    if (it != probe_misses_.end() && it->second >= config_.probe_tolerance) {
+    if (it != probe_misses_.end() && it->second >= kProbeTolerance) {
       dead.push_back(succ);
     }
   }
@@ -303,7 +330,7 @@ void P2pResolver::on_stabilize_tick() {
 
 void P2pResolver::declare_dead(const RingNode& node) {
   counter("p2p.stabilize_failures_total").add();
-  suspects_[node.id] = host_.sim().now() + config_.suspect_ttl;
+  suspects_[node.id] = host_.sim().now() + kSuspectTtl;
   log_.info("successor ", node.endpoint.to_string(),
             " stopped answering probes; repairing ring");
   remove_member(node.id);
@@ -312,7 +339,7 @@ void P2pResolver::declare_dead(const RingNode& node) {
 
 bool P2pResolver::stable() const {
   return suspects_.empty() &&
-         host_.sim().now() - last_view_change_ >= config_.stabilize_interval;
+         host_.sim().now() - last_view_change_ >= kStabilizeInterval;
 }
 
 // ---------------------------------------------------------------------------
@@ -363,7 +390,7 @@ const P2pResolver::RingNode* P2pResolver::retry_hop(
   // what the hop histogram measures).
   if (tried.empty()) return next_hop(key);
   // Retries skip the greedy path entirely and aim straight at the owner
-  // arc: successor(key) stores the record and its `successor_count`
+  // arc: successor(key) stores the record and its `kSuccessorCount`
   // successors replicate it, and any holder answers a GET from its local
   // store. Greedy retries would re-converge on the same dead predecessor;
   // walking the holder chain instead leaves a live candidate for any
@@ -374,7 +401,7 @@ const P2pResolver::RingNode* P2pResolver::retry_hop(
   if (n > 1) {
     const std::size_t owner_index = static_cast<std::size_t>(
         (owner == view_.end() ? view_.begin() : owner) - view_.begin());
-    for (std::size_t i = 0; i <= config_.successor_count && i < n; ++i) {
+    for (std::size_t i = 0; i <= kSuccessorCount && i < n; ++i) {
       const RingNode& holder = view_[(owner_index + i) % n];
       if (holder.id == node_id_ || excluded(holder.id) ||
           suspect(holder.id)) {
@@ -394,7 +421,7 @@ const P2pResolver::RingNode* P2pResolver::retry_hop(
 }
 
 void P2pResolver::send_line(net::Endpoint dst, const std::string& line) {
-  host_.send_udp(config_.port, dst, to_bytes(line));
+  host_.send_udp(kPort, dst, to_bytes(line));
 }
 
 // ---------------------------------------------------------------------------
@@ -467,7 +494,7 @@ void P2pResolver::resolve(const std::string& aor, ResolveCallback callback) {
                          });
     return;
   }
-  if (pending_.size() >= config_.max_pending) {
+  if (pending_.size() >= kMaxPending) {
     counter("p2p.resolve_dropped_total").add();
     host_.sim().schedule(Duration::zero(),
                          [callback = std::move(callback)]() mutable {
@@ -483,7 +510,7 @@ void P2pResolver::resolve(const std::string& aor, ResolveCallback callback) {
   pending.aor = aor;
   pending.key = key;
   pending.deadline =
-      host_.sim().schedule(config_.lookup_timeout, [this, request] {
+      host_.sim().schedule(kLookupTimeout, [this, request] {
         const auto it = pending_.find(request);
         if (it == pending_.end()) return;
         counter("p2p.timeouts_total").add();
@@ -510,9 +537,9 @@ void P2pResolver::send_attempt(std::uint64_t request) {
   ++pending.attempts;
   send_line(hop->endpoint, "GET " + std::to_string(request) + " " +
                                endpoint().to_string() + " 1 " + pending.aor);
-  if (pending.attempts <= config_.retry_max) {
-    // Exponential per-attempt backoff: 1x, 2x, 4x ... of retry_initial.
-    const Duration delay = config_.retry_initial *
+  if (pending.attempts <= kRetryMax) {
+    // Exponential per-attempt backoff: 1x, 2x, 4x ... of kRetryInitial.
+    const Duration delay = kRetryInitial *
                            (1ll << (pending.attempts - 1));
     pending.retry = host_.sim().schedule(
         delay, [this, request] { on_retry(request); });
@@ -526,7 +553,7 @@ void P2pResolver::on_retry(std::uint64_t request) {
   // The hop we tried never produced an answer: suspect it and go around.
   if (!pending.tried.empty()) {
     suspects_[pending.tried.back()] =
-        host_.sim().now() + config_.suspect_ttl;
+        host_.sim().now() + kSuspectTtl;
   }
   counter("p2p.retry_attempts_total").add();
   send_attempt(request);
@@ -651,7 +678,7 @@ void P2pResolver::handle_get(std::string_view rest) {
   // replica to owner.
   const auto binding = records_.lookup(aor, host_.sim().now());
   if (!binding && !responsible_for(key)) {
-    if (hops >= config_.max_hops) {
+    if (hops >= kMaxHops) {
       counter("p2p.ttl_drops_total").add();
       return;
     }
@@ -789,7 +816,7 @@ void P2pResolver::handle_control(std::string_view verb,
     if (!left_) broadcast("JOINED " + endpoint().to_string());
     return;
   }
-  suspects_[id_of(*ep)] = host_.sim().now() + config_.suspect_ttl;
+  suspects_[id_of(*ep)] = host_.sim().now() + kSuspectTtl;
   remove_member(id_of(*ep));
 }
 

@@ -3,7 +3,7 @@
 // (PAPERS.md). Instead of one provider registrar owning every binding,
 // each AOR hashes onto the same 64-bit ring the sharded store uses
 // (hash_aor), and the node whose id succeeds the key stores the binding
-// (replicated to `successor_count` successors). Lookups hop greedily
+// (replicated to the next two successors). Lookups hop greedily
 // through finger tables -- O(log n) hops, each paying one wired RTT -- so
 // gateway-centric vs P2P call-setup cost becomes a measurable tradeoff
 // (EXPERIMENTS.md E11/E12) rather than prose.
@@ -11,7 +11,7 @@
 // The overlay is *live* (docs/RESILIENCE.md, "ring faults"): a maintenance
 // timer probes the successor list, repairs membership when probes go
 // unanswered, rebuilds fingers, and re-replicates records on every
-// membership change so each binding keeps `successor_count` live replicas.
+// membership change so each binding keeps two live replicas.
 // Nodes join and leave at runtime (join_ring() / leave()) with key
 // handoff; lookups carry a per-hop timeout and retry through the next
 // live finger/successor with exponential backoff and a dead-node
@@ -38,38 +38,9 @@
 
 namespace siphoc::sip {
 
-struct P2pConfig {
-  std::uint16_t port = 5070;
-  /// Bindings are replicated to this many ring successors of the
-  /// responsible node, so a node loss does not lose the binding.
-  std::size_t successor_count = 2;
-  /// End-to-end resolve budget; the per-attempt retry ladder lives inside
-  /// this window.
-  Duration lookup_timeout = seconds(2);
-  /// Maintenance timer period: successor probing, failure repair, finger
-  /// fixing. Zero jitter -- stabilization must not perturb the
-  /// deterministic packet schedule.
-  Duration stabilize_interval = seconds(2);
-  /// Consecutive unanswered probes before a successor is declared dead.
-  int probe_tolerance = 2;
-  /// First per-hop GET timeout; doubles per retry attempt.
-  Duration retry_initial = milliseconds(250);
-  /// Retransmissions through an alternate hop after the first GET.
-  int retry_max = 3;
-  /// How long a node stays on the dead-node suspicion list (next_hop
-  /// avoids suspects) before it gets another chance.
-  Duration suspect_ttl = seconds(10);
-  /// In-flight resolve cap: beyond this, new resolves fail immediately
-  /// (p2p.resolve_dropped_total) instead of growing pending_ unbounded.
-  std::size_t max_pending = 64;
-  /// GET forwarding TTL: queries caught in a routing loop mid-churn are
-  /// dropped (p2p.ttl_drops_total), not forwarded forever.
-  int max_hops = 32;
-};
-
 class P2pResolver {
  public:
-  P2pResolver(net::Host& host, P2pConfig config = {});
+  explicit P2pResolver(net::Host& host);
   ~P2pResolver();
 
   P2pResolver(const P2pResolver&) = delete;
@@ -185,7 +156,6 @@ class P2pResolver {
               int hops);
 
   net::Host& host_;
-  P2pConfig config_;
   Logger log_;
   std::uint64_t node_id_;
   std::uint64_t predecessor_id_ = 0;

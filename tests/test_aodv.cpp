@@ -146,6 +146,45 @@ TEST_F(AodvChain, LinkBreakTriggersRerrAndReDiscovery) {
   EXPECT_TRUE(probe(0, 4, seconds(5)));
 }
 
+// The host routes over an entry until housekeeping expires it, not from
+// the instant its lifetime passes: between the two, traffic still takes
+// the route and starts no discovery.
+TEST_F(AodvChain, RoutePastItsLifetimeForwardsUntilHousekeeping) {
+  build(3);
+  sim_->run_for(seconds(1));
+  ASSERT_TRUE(probe(0, 2));
+  const AodvRoute* entry = daemons_[0]->table().find(addr(2));
+  ASSERT_NE(entry, nullptr);
+  sim_->run_until(entry->expires);
+  ASSERT_TRUE(entry->valid) << "housekeeping ran at the expiry instant";
+  ASSERT_EQ(daemons_[0]->table().active(addr(2), sim_->now()), nullptr);
+
+  const auto route = hosts_[0]->lookup_route(addr(2));
+  ASSERT_TRUE(route);
+  EXPECT_EQ(route->prefix_len, 32);
+  EXPECT_EQ(route->next_hop, addr(1));
+  EXPECT_EQ(route->metric, 2);
+  const auto discoveries = daemons_[0]->stats().route_discoveries;
+  EXPECT_TRUE(probe(0, 2, milliseconds(100)));
+  EXPECT_EQ(daemons_[0]->stats().route_discoveries, discoveries);
+}
+
+// A stopped daemon no longer answers the host's lookups: a peer it had a
+// route to is on-link again, as the radio's /24 says.
+TEST_F(AodvChain, StoppedDaemonLeavesThePeerOnLink) {
+  build(3);
+  sim_->run_for(seconds(1));
+  ASSERT_TRUE(probe(0, 2));
+  const auto before = hosts_[0]->lookup_route(addr(2));
+  ASSERT_TRUE(before && before->prefix_len == 32);
+  daemons_[0]->stop();
+  const auto route = hosts_[0]->lookup_route(addr(2));
+  ASSERT_TRUE(route);
+  EXPECT_EQ(route->prefix_len, net::kManetPrefixLen);
+  EXPECT_FALSE(route->next_hop);
+  EXPECT_EQ(route->metric, 100);
+}
+
 TEST_F(AodvChain, ExpandingRingEventuallyReachesFarNode) {
   AodvConfig config;
   config.ttl_start = 1;

@@ -224,6 +224,29 @@ TEST(ChaosTest, CrashAndRestartNodeRecovers) {
   EXPECT_TRUE(healed.established);
 }
 
+// crash_node destroys a node's stack while its Host lives on. The dead
+// daemon must not stay the host's route source (ASan reports the use
+// after free if it does): the host falls back to the on-link /24.
+TEST(ChaosTest, CrashedNodeHostFallsBackToTheOnLinkRoute) {
+  for (const RoutingKind kind : {RoutingKind::kAodv, RoutingKind::kOlsr}) {
+    Options o;
+    o.seed = 23;
+    o.nodes = 3;
+    o.routing = kind;
+    Testbed bed(o);
+    bed.start();
+    bed.settle(seconds(15));
+    const net::Address peer = bed.host(1).manet_address();
+    const auto before = bed.host(0).lookup_route(peer);
+    ASSERT_TRUE(before && before->prefix_len == 32);
+    bed.crash_node(0);
+    const auto route = bed.host(0).lookup_route(peer);
+    ASSERT_TRUE(route);
+    EXPECT_EQ(route->prefix_len, net::kManetPrefixLen);
+    EXPECT_FALSE(route->next_hop);
+  }
+}
+
 TEST(ChaosTest, CrashedCalleeNodeStillTerminatesCalls) {
   Options o;
   o.seed = 22;

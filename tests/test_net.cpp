@@ -543,6 +543,32 @@ TEST_F(TwoNodeFixture, LongestPrefixMatchWins) {
   EXPECT_EQ(r->prefix_len, 32);
 }
 
+// A route source (the running MANET daemon) answers first. A MANET
+// address it has no route to has none, whatever the on-link /24 says;
+// any other address falls back to the static routes.
+TEST_F(TwoNodeFixture, RouteSourceOwnsTheManetSubnet) {
+  a_.add_route({kInternetPrefix, kInternetPrefixLen, std::nullopt,
+                Interface::kWired, 1});
+  a_.set_route_source([](Address dst) -> std::optional<RouteEntry> {
+    if (dst != Address(10, 0, 0, 3)) return std::nullopt;
+    return RouteEntry{dst, 32, Address(10, 0, 0, 2), Interface::kRadio, 2};
+  });
+  const auto sourced = a_.lookup_route(Address(10, 0, 0, 3));
+  ASSERT_TRUE(sourced);
+  EXPECT_EQ(sourced->next_hop, Address(10, 0, 0, 2));
+  EXPECT_EQ(sourced->metric, 2);
+  EXPECT_FALSE(a_.lookup_route(Address(10, 0, 0, 2)));
+  const auto internet = a_.lookup_route(Address(192, 0, 2, 7));
+  ASSERT_TRUE(internet);
+  EXPECT_EQ(internet->iface, Interface::kWired);
+
+  a_.set_route_source(nullptr);
+  const auto on_link = a_.lookup_route(Address(10, 0, 0, 2));
+  ASSERT_TRUE(on_link);
+  EXPECT_EQ(on_link->prefix_len, kManetPrefixLen);
+  EXPECT_FALSE(on_link->next_hop);
+}
+
 TEST_F(TwoNodeFixture, RouteResolverClaimsUnroutable) {
   int claimed = 0;
   a_.set_route_resolver([&](Datagram) {

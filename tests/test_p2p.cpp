@@ -87,7 +87,7 @@ TEST_F(P2pRingFixture, ExactlyOneOwnerPlusReplicas) {
   sim_.run_for(seconds(1));
 
   // The responsible node holds the record; its successors hold replicas
-  // (successor_count defaults to 2). Nobody else stores anything.
+  // (kSuccessorCount is 2). Nobody else stores anything.
   std::size_t holders = 0;
   for (const auto& r : resolvers_) {
     if (r->stored_records() > 0) ++holders;
@@ -232,8 +232,8 @@ TEST_F(P2pChurnFixture, CrashedMemberIsDetectedAndRecordsReReplicated) {
 
   // Hard crash: the resolver is destroyed, its port goes dark, its stored
   // replicas are gone. Stabilization probes must notice within
-  // probe_tolerance intervals, repair every view, and re-replicate until
-  // each binding again has successor_count live replicas.
+  // kProbeTolerance intervals, repair every view, and re-replicate until
+  // each binding again has kSuccessorCount live replicas.
   resolvers_[5].reset();
   sim_.run_for(seconds(14));
 
@@ -248,7 +248,7 @@ TEST_F(P2pChurnFixture, CrashedMemberIsDetectedAndRecordsReReplicated) {
     for (P2pResolver* r : live) {
       if (r->stored(aor)) ++holders;
     }
-    // Owner plus successor_count replicas (stale extra copies may linger
+    // Owner plus kSuccessorCount replicas (stale extra copies may linger
     // until expiry; fewer would mean re-replication failed).
     EXPECT_GE(holders, 3u) << aor;
     EXPECT_TRUE(resolve_blocking(0, aor).first) << aor;
