@@ -32,8 +32,8 @@ struct StateReport {
   std::size_t slp_entries = 0;
   std::size_t proxy_bindings = 0;
   std::size_t proxy_bytes = 0;
-  std::size_t fib_routes = 0;
-  std::size_t fib_bytes = 0;
+  std::size_t routes = 0;
+  std::size_t route_bytes = 0;
 };
 
 /// Sum of this binary's loadable segments (text+rodata+data as mapped),
@@ -65,10 +65,10 @@ StateReport measure_node(NodeStack& stack) {
   report.proxy_bindings = stack.proxy().binding_count();
   report.proxy_bytes =
       report.proxy_bindings * (sizeof(SiphocProxy::Binding) + 32);
-  // The daemon holds the node's routes; each is costed at one host route
-  // entry, the size a kernel forwarding table would spend on it.
-  report.fib_routes = stack.routing().route_count();
-  report.fib_bytes = report.fib_routes * sizeof(net::RouteEntry);
+  // The daemon holds the node's only copy of its routes; each is costed
+  // at the record the daemon keeps for it.
+  report.routes = stack.routing().route_count();
+  report.route_bytes = report.routes * stack.routing().route_record_bytes();
   return report;
 }
 
@@ -95,7 +95,7 @@ int main(int, char** argv) {
   options.nodes = 25;
   options.topology = scenario::Topology::kGrid;
   options.spacing = 90;
-  options.routing = RoutingKind::kOlsr;  // proactive: fullest caches/FIBs
+  options.routing = RoutingKind::kOlsr;  // proactive: fullest caches/routes
   scenario::Testbed bed(options);
   bed.start();
   std::vector<voip::SoftPhone*> phones;
@@ -109,16 +109,16 @@ int main(int, char** argv) {
   std::printf("runtime state per node (25-node OLSR grid, 10 registered "
               "users):\n");
   std::printf("%5s | %10s %10s | %9s %9s | %7s %9s\n", "node", "slp ent",
-              "slp B", "bindings", "proxy B", "routes", "fib B");
+              "slp B", "bindings", "proxy B", "routes", "route B");
   std::printf("------+-----------------------+---------------------+--------"
               "-----------\n");
   std::size_t total = 0;
   for (const std::size_t node : {0u, 6u, 12u, 18u, 24u}) {
     const auto r = measure_node(bed.stack(node));
-    total += r.slp_bytes + r.proxy_bytes + r.fib_bytes;
+    total += r.slp_bytes + r.proxy_bytes + r.route_bytes;
     std::printf("%5zu | %10zu %10zu | %9zu %9zu | %7zu %9zu\n", node,
                 r.slp_entries, r.slp_bytes, r.proxy_bindings, r.proxy_bytes,
-                r.fib_routes, r.fib_bytes);
+                r.routes, r.route_bytes);
   }
   std::printf(
       "\nmean state per sampled node: %.1f KB -- protocol state is\n"

@@ -51,27 +51,20 @@ void Aodv::start() {
   housekeeping_timer_.start(host_.sim(), milliseconds(500), [this] {
     table_.expire(now());
     check_neighbors();
-    purge_rreq_seen(now());
+    rreq_seen_.tick(now());
   });
 }
 
-bool Aodv::note_rreq(std::uint64_t key) {
-  const TimePoint expiry = now() + config_.rreq_id_cache_ttl;
-  const bool seen = !rreq_seen_.insert_or_assign(key, expiry).second;
-  rreq_expiry_.emplace_back(expiry, key);
+bool RreqCache::note(net::Address orig, std::uint32_t id,
+                     TimePoint expiry) {
+  const auto live = [this](std::uint64_t, TimePoint e) {
+    return e > last_tick_;
+  };
+  const auto [stored, added] = expiry_.emplace(
+      (std::uint64_t{orig.value()} << 32) | id, expiry, live);
+  const bool seen = !added && *stored > last_tick_;
+  *stored = expiry;
   return seen;
-}
-
-void Aodv::purge_rreq_seen(TimePoint t) {
-  // An id stays a duplicate until the first tick at or after its expiry,
-  // not at the expiry instant. A later duplicate pushes a later expiry;
-  // the stale front entry then leaves the id alone.
-  while (!rreq_expiry_.empty() && rreq_expiry_.front().first <= t) {
-    const auto [expiry, key] = rreq_expiry_.front();
-    rreq_expiry_.pop_front();
-    const auto it = rreq_seen_.find(key);
-    if (it != rreq_seen_.end() && it->second == expiry) rreq_seen_.erase(it);
-  }
 }
 
 void Aodv::stop() {
@@ -196,7 +189,7 @@ void Aodv::handle_rreq(const Rreq& m, std::span<const std::uint8_t> ext,
                        net::Address from) {
   if (m.orig == self()) return;  // own flood echoed back
 
-  const bool duplicate = note_rreq(rreq_key(m.orig, m.rreq_id));
+  const bool duplicate = note_rreq(m.orig, m.rreq_id);
 
   // Reverse route to the previous hop and to the originator (RFC 6.5).
   table_.update(from, 0, false, 1, from, now() + config_.active_route_timeout);
@@ -394,7 +387,7 @@ void Aodv::send_rreq_for(net::Address dst, PendingDiscovery& pending) {
     rreq.dst_seqno = known->seqno;
     rreq.unknown_seqno = false;
   }
-  note_rreq(rreq_key(self(), rreq.rreq_id));
+  note_rreq(self(), rreq.rreq_id);
   broadcast_rreq(rreq, pending.service_query ? pending.query_extension
                                              : Bytes{});
 
@@ -467,7 +460,9 @@ bool Aodv::flood_query(Bytes extension) {
 
 void Aodv::on_neighbor_heard(net::Address neighbor) {
   if (neighbor == self() || neighbor.is_unspecified()) return;
-  neighbors_[neighbor] = now();
+  TimePoint& last = *heard_.emplace(neighbor.value(), TimePoint::min()).first;
+  if (last == TimePoint::min()) neighbors_.insert(neighbor);
+  last = now();
   table_.refresh(neighbor, now() + config_.active_route_timeout);
 }
 
@@ -476,16 +471,18 @@ void Aodv::check_neighbors() {
       config_.allowed_hello_loss * config_.hello_interval +
       milliseconds(300);
   std::vector<net::Address> lost;
-  for (const auto& [addr, last] : neighbors_) {
-    if (now() - last > max_silence) lost.push_back(addr);
+  for (const net::Address addr : neighbors_) {
+    if (now() - *heard_.find(addr.value()) > max_silence) {
+      lost.push_back(addr);
+    }
   }
-  for (const auto& addr : lost) {
-    neighbors_.erase(addr);
-    handle_link_break(addr);
-  }
+  for (const auto& addr : lost) handle_link_break(addr);
 }
 
 void Aodv::handle_link_break(net::Address neighbor) {
+  if (TimePoint* last = heard_.find(neighbor.value())) {
+    *last = TimePoint::min();
+  }
   neighbors_.erase(neighbor);
   auto broken = table_.on_link_break(neighbor);
   if (broken.empty()) return;

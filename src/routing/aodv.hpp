@@ -11,12 +11,25 @@
 //   * flood_query(): a destination-less RREQ used as a service-discovery
 //     flood; any node whose handler answers replies with an RREP that
 //     carries the reply extension *and* establishes the route back to it.
+//
+// Soft state sits in flat tables, so a flooded RREQ costs one probe per
+// address it touches and the 500 ms housekeeping tick skips what it can:
+//   * the RREQ duplicate cache (RreqCache) forgets ids lazily: an id is a
+//     duplicate while its latest expiry is later than the last tick;
+//   * routes live in AodvTable's dense slots (see routing_table.hpp);
+//   * a neighbor's last-heard time sits in a flat-indexed slot, and the
+//     neighbor set `neighbors_` changes only when membership does: an
+//     insert on the first hear after an absence, an erase on a loss. It
+//     sees the membership changes the unordered_map of last-heard times
+//     it replaces saw, so check_neighbors() visits lost neighbors, and
+//     sends their RERRs, in that map's order (AodvNeighborLoss pins it).
 #pragma once
 
 #include <deque>
 #include <map>
-#include <unordered_map>
+#include <unordered_set>
 
+#include "common/flat_map.hpp"
 #include "net/host.hpp"
 #include "routing/aodv_codec.hpp"
 #include "routing/protocol.hpp"
@@ -46,6 +59,29 @@ struct AodvConfig {
   Duration my_route_timeout() const { return 2 * active_route_timeout; }
 };
 
+/// RREQ duplicate suppression (RFC 3561 6.3). An id stays a duplicate
+/// until the first housekeeping tick at or after its latest expiry, not
+/// just until that instant: exactly while the expiry is later than the
+/// last tick. tick() only records its time; entries at or before it read
+/// as absent and leave when the table next rebuilds to grow. A stopped
+/// daemon does not tick, so its ids stay until the first tick after a
+/// restart.
+class RreqCache {
+ public:
+  /// Records RREQ (orig, id) as seen until `expiry`; true when it already
+  /// was.
+  bool note(net::Address orig, std::uint32_t id, TimePoint expiry);
+  void tick(TimePoint now) { last_tick_ = now; }
+
+  /// Slots held, stale entries included.
+  std::size_t capacity() const { return expiry_.capacity(); }
+
+ private:
+  // (orig << 32) | id -> its latest expiry
+  FlatMap<std::uint64_t, TimePoint> expiry_;
+  TimePoint last_tick_ = TimePoint::min();
+};
+
 class Aodv final : public Protocol {
  public:
   Aodv(net::Host& host, AodvConfig config = {});
@@ -58,8 +94,12 @@ class Aodv final : public Protocol {
   bool flood_query(Bytes extension) override;
   const RoutingStats& stats() const override { return stats_; }
   std::size_t route_count() const override { return table_.valid_count(); }
+  std::size_t route_record_bytes() const override {
+    return sizeof(AodvRoute);
+  }
 
   const AodvTable& table() const { return table_; }
+  const RreqCache& rreq_cache() const { return rreq_seen_; }
   const AodvConfig& config() const { return config_; }
 
   /// Number of datagrams currently buffered awaiting discovery.
@@ -140,20 +180,15 @@ class Aodv final : public Protocol {
   std::uint32_t seqno_ = 1;
   std::uint32_t rreq_id_ = 0;
   std::map<net::Address, PendingDiscovery> discoveries_;
-  // RREQ duplicate suppression: rreq_key(orig, id) -> expiry, and the
-  // same (expiry, key) pairs in the order they were written. Expiries are
-  // written in non-decreasing order, so housekeeping pops the FIFO front
-  // while it has lapsed instead of scanning every entry.
-  static std::uint64_t rreq_key(net::Address orig, std::uint32_t id) {
-    return (std::uint64_t{orig.value()} << 32) | id;
+  /// RreqCache::note() with the expiry the config gives an id heard now.
+  bool note_rreq(net::Address orig, std::uint32_t id) {
+    return rreq_seen_.note(orig, id, now() + config_.rreq_id_cache_ttl);
   }
-  /// Records `key` as seen until now + rreq_id_cache_ttl; true when it
-  /// already was.
-  bool note_rreq(std::uint64_t key);
-  void purge_rreq_seen(TimePoint t);
-  std::unordered_map<std::uint64_t, TimePoint> rreq_seen_;
-  std::deque<std::pair<TimePoint, std::uint64_t>> rreq_expiry_;
-  std::unordered_map<net::Address, TimePoint> neighbors_;  // last heard
+  RreqCache rreq_seen_;
+  // Neighbor address -> when last heard; TimePoint::min() while it is not
+  // in neighbors_.
+  FlatMap<std::uint32_t, TimePoint> heard_;
+  std::unordered_set<net::Address> neighbors_;
 
   sim::PeriodicTimer hello_timer_;
   sim::PeriodicTimer housekeeping_timer_;

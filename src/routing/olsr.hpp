@@ -55,6 +55,7 @@ class Olsr final : public Protocol {
 
   const RoutingStats& stats() const override { return stats_; }
   std::size_t route_count() const override { return routes_.size(); }
+  std::size_t route_record_bytes() const override { return sizeof(Route); }
 
   // Introspection for tests.
   std::set<net::Address> symmetric_neighbors() const {

@@ -136,6 +136,10 @@ class Protocol {
   /// Destinations the daemon currently holds a usable route to: the
   /// routes it answers the host's lookups with while it runs.
   virtual std::size_t route_count() const = 0;
+
+  /// Bytes of the record the daemon keeps per route (sizeof, not counting
+  /// heap storage the record owns): the per-route cost of its state.
+  virtual std::size_t route_record_bytes() const = 0;
 };
 
 }  // namespace siphoc::routing

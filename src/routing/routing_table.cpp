@@ -3,13 +3,13 @@
 namespace siphoc::routing {
 
 const AodvRoute* AodvTable::find(net::Address dst) const {
-  const auto it = routes_.find(dst);
-  return it == routes_.end() ? nullptr : &it->second;
+  const std::uint32_t* slot = index_.find(dst.value());
+  return slot == nullptr ? nullptr : &routes_[*slot];
 }
 
 AodvRoute* AodvTable::find(net::Address dst) {
-  const auto it = routes_.find(dst);
-  return it == routes_.end() ? nullptr : &it->second;
+  const std::uint32_t* slot = index_.find(dst.value());
+  return slot == nullptr ? nullptr : &routes_[*slot];
 }
 
 const AodvRoute* AodvTable::active(net::Address dst, TimePoint now) const {
@@ -20,7 +20,13 @@ const AodvRoute* AodvTable::active(net::Address dst, TimePoint now) const {
 AodvRoute* AodvTable::update(net::Address dst, std::uint32_t seqno,
                              bool valid_seqno, std::uint8_t hop_count,
                              net::Address next_hop, TimePoint expires) {
-  auto& r = routes_[dst];
+  const auto [slot, added] = index_.emplace(
+      dst.value(), static_cast<std::uint32_t>(routes_.size()));
+  if (added) {
+    routes_.emplace_back();
+    order_.emplace(dst, *slot);
+  }
+  AodvRoute& r = routes_[*slot];
   const bool fresh = r.dst.is_unspecified();
   if (fresh) r.dst = dst;
 
@@ -72,7 +78,8 @@ std::vector<net::Address> AodvTable::invalidate(net::Address dst) {
 std::vector<std::pair<net::Address, std::uint32_t>> AodvTable::on_link_break(
     net::Address neighbor) {
   std::vector<std::pair<net::Address, std::uint32_t>> broken;
-  for (auto& [dst, r] : routes_) {
+  for (const auto& [dst, slot] : order_) {
+    AodvRoute& r = routes_[slot];
     if (r.valid && r.next_hop == neighbor) {
       r.valid = false;
       if (r.valid_seqno) ++r.seqno;
@@ -84,7 +91,7 @@ std::vector<std::pair<net::Address, std::uint32_t>> AodvTable::on_link_break(
 }
 
 void AodvTable::expire(TimePoint now) {
-  for (auto& [dst, r] : routes_) {
+  for (AodvRoute& r : routes_) {
     if (r.valid && r.expires <= now) {
       r.valid = false;
       r.precursors.clear();
@@ -99,7 +106,7 @@ void AodvTable::add_precursor(net::Address dst, net::Address precursor) {
 
 std::size_t AodvTable::valid_count() const {
   std::size_t n = 0;
-  for (const auto& [dst, r] : routes_) {
+  for (const AodvRoute& r : routes_) {
     if (r.valid) ++n;
   }
   return n;

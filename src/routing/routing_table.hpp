@@ -4,6 +4,18 @@
 // numbers, lifetimes, precursor lists, validity) per destination. The host
 // asks the daemon for a route on every send (net::Host::set_route_source),
 // and the daemon answers with the entry here while it is valid.
+//
+// Layout: one AodvRoute per destination in a dense vector, found through a
+// flat address -> slot index (one probe per lookup), and never erased; an
+// invalid entry keeps its seqno for the next RREQ. expire() is a linear
+// pass over the slots. on_link_break() alone walks `order_`, an
+// insert-only std::unordered_map that sees exactly the insertions of the
+// unordered_map this table once was, so it lists broken routes in that
+// map's iteration order: the order of a RERR's destinations, pinned by
+// AodvTableTest.LinkBreakListsRoutesInTheParentOrder.
+//
+// update() may add a slot and so move every entry: no caller holds an
+// AodvRoute* across an update() of a destination the table may not know.
 #pragma once
 
 #include <optional>
@@ -11,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/time.hpp"
 #include "net/address.hpp"
 
@@ -19,11 +32,11 @@ namespace siphoc::routing {
 struct AodvRoute {
   net::Address dst;
   std::uint32_t seqno = 0;
-  bool valid_seqno = false;
-  std::uint8_t hop_count = 0;
   net::Address next_hop;
-  TimePoint expires{};
+  std::uint8_t hop_count = 0;
+  bool valid_seqno = false;
   bool valid = false;
+  TimePoint expires{};
   std::set<net::Address> precursors;
 };
 
@@ -37,7 +50,8 @@ class AodvTable {
 
   /// Creates or updates an entry following the RFC 3561 update rules
   /// (section 6.2: newer seqno, or same seqno with fewer hops, or invalid
-  /// entry). Returns the entry if it was applied.
+  /// entry). Returns the entry if it was applied. Creating an entry
+  /// invalidates every AodvRoute pointer the table handed out.
   AodvRoute* update(net::Address dst, std::uint32_t seqno, bool valid_seqno,
                     std::uint8_t hop_count, net::Address next_hop,
                     TimePoint expires);
@@ -62,7 +76,9 @@ class AodvTable {
   std::size_t valid_count() const;
 
  private:
-  std::unordered_map<net::Address, AodvRoute> routes_;
+  std::vector<AodvRoute> routes_;
+  FlatMap<std::uint32_t, std::uint32_t> index_;  // dst -> slot in routes_
+  std::unordered_map<net::Address, std::uint32_t> order_;  // dst -> slot
 };
 
 }  // namespace siphoc::routing

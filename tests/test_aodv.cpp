@@ -292,6 +292,118 @@ TEST_F(AodvRreqCache, LaterDuplicateSurvivesThePurgeOfTheFirstExpiry) {
   EXPECT_TRUE(forwarded(5, milliseconds(8100)));
 }
 
+// A stopped daemon does not tick, so the ids it held stay duplicates past
+// their expiry until the first tick after a restart (500 ms after it).
+TEST_F(AodvRreqCache, StoppedDaemonKeepsIdsUntilTheFirstTickAfterRestart) {
+  EXPECT_TRUE(forwarded(1, milliseconds(1100)));  // expires at ~4.1 s
+  EXPECT_TRUE(forwarded(2, milliseconds(1101)));
+  sim_.run_until(TimePoint{} + milliseconds(1200));
+  aodv_->stop();
+  sim_.run_until(TimePoint{} + seconds(6));
+  aodv_->start();  // ticks at 6.5 s, 7 s, ...
+  EXPECT_FALSE(forwarded(1, milliseconds(6200)));
+  EXPECT_TRUE(forwarded(2, milliseconds(6600)));
+}
+
+// The cache forgets lapsed ids when it grows, and only those: its size
+// follows the ids heard within one lifetime, not all ids ever heard. 20,000
+// distinct ids over 60 s keep about 1,200 live at a time; the table stays
+// within 8,192 slots where holding every id would take 65,536. Every 50th
+// step repeats the id heard 0.9 s before, which must still be a duplicate
+// however often the table has been rebuilt since.
+TEST_F(AodvRreqCache, StaysBoundedUnderManyDistinctIds) {
+  const Counter& forwards = sim_.ctx().metrics().counter(
+      "aodv.rreq_forwarded_total", "n1", "aodv");
+  const auto inject = [&](std::uint32_t id) {
+    aodv::Rreq rreq;
+    rreq.rreq_id = id;
+    rreq.ttl = 2;
+    rreq.dst = addr(9);
+    rreq.orig = addr(0);
+    injector_.send_broadcast(net::kAodvPort, net::kAodvPort,
+                             aodv::encode(rreq, {}));
+  };
+  for (std::uint32_t id = 1; id <= 20000; ++id) {
+    sim_.run_until(TimePoint{} + microseconds(3000 * id));
+    inject(id);
+    if (id % 50 == 0 && id > 300) inject(id - 300);
+  }
+  sim_.run_for(milliseconds(10));
+  EXPECT_EQ(forwards.value(), 20000u);
+  EXPECT_GT(aodv_->rreq_cache().capacity(), 0u);
+  EXPECT_LE(aodv_->rreq_cache().capacity(), 8192u);
+}
+
+// Neighbors that fall silent within one housekeeping period are found
+// lost at the same tick, and each loss sends one RERR. They leave in the
+// order the daemon's neighbor set visits them: an unordered set that gains
+// a member on the first hear after an absence and loses it on a loss,
+// which visits its members as the unordered_map of last-heard times the
+// daemon once kept did. The order decides the order of later RNG draws, so
+// it was recorded from that map and must not move; visiting the last-heard
+// slots instead fails.
+TEST(AodvNeighborLoss, RerrsLeaveInTheRecordedOrder) {
+  sim::Simulator sim(7);
+  net::RadioMedium medium(sim, net::RadioConfig{});
+  net::Host hub(sim, 0, "hub");
+  hub.attach_radio(medium, Address(10, 0, 0, 1),
+                   std::make_shared<net::StaticMobility>(net::Position{0, 0}));
+  Aodv aodv(hub);
+  aodv.start();
+
+  const std::uint8_t hosts[] = {37, 5, 201, 88, 14, 160, 99, 42};
+  std::vector<std::unique_ptr<net::Host>> peers;
+  for (std::size_t i = 0; i < std::size(hosts); ++i) {
+    peers.push_back(std::make_unique<net::Host>(
+        sim, static_cast<net::NodeId>(i + 1), "p" + std::to_string(i)));
+    peers.back()->attach_radio(
+        medium, Address(10, 0, 0, hosts[i]),
+        std::make_shared<net::StaticMobility>(
+            net::Position{10.0 * static_cast<double>(i), 10}));
+  }
+  std::string rerrs;
+  medium.set_tap([&](const net::Frame& f, TimePoint) {
+    if (f.src_mac != 0 || f.datagram.dst_port != net::kAodvPort) return;
+    const auto decoded = aodv::decode_frame(f.datagram.payload);
+    if (decoded && std::holds_alternative<aodv::Rerr>(decoded->message)) {
+      rerrs += aodv::describe(decoded->message) + "\n";
+    }
+  });
+
+  // Each peer says HELLO once and relays one RREQ from a node behind it,
+  // all within 20 ms: the hub then routes to the peer and, through it, to
+  // that node, and misses all of them at the same housekeeping tick.
+  sim.run_until(TimePoint{} + milliseconds(1000));
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    aodv::Rrep hello;
+    hello.dst = Address(10, 0, 0, hosts[i]);
+    hello.dst_seqno = 1;
+    hello.lifetime_ms = 2000;
+    hello.is_hello = true;
+    peers[i]->send_broadcast(net::kAodvPort, net::kAodvPort,
+                             aodv::encode(hello, {}));
+    aodv::Rreq rreq;
+    rreq.rreq_id = 1;
+    rreq.ttl = 1;  // the hub does not forward it
+    rreq.dst = Address(10, 0, 0, 250);
+    rreq.orig = Address(10, 0, 1, hosts[i]);
+    rreq.orig_seqno = 1;
+    peers[i]->send_broadcast(net::kAodvPort, net::kAodvPort,
+                             aodv::encode(rreq, {}));
+    sim.run_for(milliseconds(2));
+  }
+  sim.run_until(TimePoint{} + seconds(5));
+  EXPECT_EQ(rerrs,
+            "RERR unreachable={10.0.0.42,10.0.1.42,}\n"
+            "RERR unreachable={10.0.1.99,10.0.0.99,}\n"
+            "RERR unreachable={10.0.0.160,10.0.1.160,}\n"
+            "RERR unreachable={10.0.0.14,10.0.1.14,}\n"
+            "RERR unreachable={10.0.1.88,10.0.0.88,}\n"
+            "RERR unreachable={10.0.0.201,10.0.1.201,}\n"
+            "RERR unreachable={10.0.0.5,10.0.1.5,}\n"
+            "RERR unreachable={10.0.0.37,10.0.1.37,}\n");
+}
+
 TEST(AodvTableTest, UpdateRules) {
   AodvTable table;
   const Address dst(10, 0, 0, 9);
@@ -337,6 +449,42 @@ TEST(AodvTableTest, LinkBreakInvalidatesAllRoutesViaNeighbor) {
   const auto broken = table.on_link_break(neighbor);
   EXPECT_EQ(broken.size(), 2u);
   EXPECT_EQ(table.valid_count(), 1u);
+}
+
+// on_link_break lists the broken routes in the order the RERR carries them
+// (aodv::describe prints them). That order is the iteration order of the
+// std::unordered_map the table keyed its routes by: the table keeps an
+// insert-only map that sees the same insertions, and these pairs were
+// recorded from it. Listing the routes in slot or address order fails.
+TEST(AodvTableTest, LinkBreakListsRoutesInTheParentOrder) {
+  AodvTable table;
+  const Address neighbor(10, 0, 0, 2);
+  const Address other(10, 0, 0, 3);
+  const TimePoint later = TimePoint{} + seconds(10);
+  for (std::uint32_t i = 0; i < 48; ++i) {
+    // 48 distinct hosts in 10..106, inserted in a scrambled order; every
+    // fifth route has no valid seqno, so the break leaves its seqno at 0.
+    const auto host = static_cast<std::uint8_t>(10 + (i * 37) % 97);
+    table.update(Address(10, 0, 0, host), 100 + i, i % 5 != 0, 2, neighbor,
+                 later);
+    if (i % 8 == 3) {
+      table.update(Address(10, 0, 1, static_cast<std::uint8_t>(i)), 7, true,
+                   3, other, later);
+    }
+  }
+  std::string listed;
+  for (const auto& [dst, seqno] : table.on_link_break(neighbor)) {
+    listed += std::to_string(dst.value() & 0xff) + ":" +
+              std::to_string(seqno) + " ";
+  }
+  EXPECT_EQ(listed,
+            "100:148 86:145 63:147 49:144 72:142 95:140 58:139 81:137 "
+            "104:135 67:134 53:0 76:129 99:127 29:112 52:110 15:109 "
+            "11:122 61:105 38:107 26:0 85:124 30:133 89:0 24:104 "
+            "47:102 16:130 75:108 10:0 90:132 66:113 44:0 103:114 "
+            "43:115 39:128 98:0 21:138 80:0 20:117 57:118 35:0 94:119 "
+            "34:120 12:143 71:0 48:123 84:103 25:125 62:0 ");
+  EXPECT_EQ(table.valid_count(), 6u);
 }
 
 TEST(AodvTableTest, ExpiryInvalidates) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.hpp"
+#include "common/flat_map.hpp"
 #include "common/random.hpp"
 #include "common/result.hpp"
 #include "common/strings.hpp"
@@ -153,6 +154,51 @@ TEST(BytesTest, CopiesShareOneVerdict) {
   ASSERT_TRUE(frame.verified_head());
   ASSERT_TRUE(copy.verified_head());
   EXPECT_EQ(copy.verified_head()->data(), frame.data());
+}
+
+// Every key finds its own value through growth, the key that marks empty
+// slots included, and absent keys stay absent.
+TEST(FlatMapTest, FindsEveryKeyThroughGrowth) {
+  FlatMap<std::uint32_t, std::uint32_t> map;
+  EXPECT_EQ(map.find(7), nullptr);
+  EXPECT_EQ(map.capacity(), 0u);
+  const std::uint32_t kMax = 0xffffffffu;
+  for (std::uint32_t k = 0; k < 1000; ++k) {
+    const auto [value, added] = map.emplace(k * 2654435761u, k);
+    ASSERT_TRUE(added);
+    EXPECT_EQ(*value, k);
+  }
+  EXPECT_TRUE(map.emplace(kMax, 5000).second);
+  EXPECT_FALSE(map.emplace(kMax, 6000).second);
+  EXPECT_FALSE(map.emplace(3 * 2654435761u, 9).second);
+  EXPECT_EQ(map.size(), 1001u);
+  EXPECT_LE(2 * map.size(), map.capacity());
+  for (std::uint32_t k = 0; k < 1000; ++k) {
+    const std::uint32_t* value = map.find(k * 2654435761u);
+    ASSERT_NE(value, nullptr) << k;
+    EXPECT_EQ(*value, k);
+  }
+  EXPECT_EQ(*map.find(kMax), 5000u);
+  EXPECT_EQ(map.find(1000 * 2654435761u), nullptr);
+}
+
+// A rebuild keeps exactly the entries its predicate keeps, the one under
+// the empty-slot key included, and never shrinks the table.
+TEST(FlatMapTest, RebuildDropsWhatThePredicateRejects) {
+  FlatMap<std::uint64_t, int> map;
+  const auto even = [](std::uint64_t, int v) { return v % 2 == 0; };
+  for (int i = 0; i < 7; ++i) map.emplace(std::uint64_t(i), i, even);
+  map.emplace(~std::uint64_t{0}, 1, even);
+  ASSERT_EQ(map.capacity(), 16u);
+  ASSERT_EQ(map.size(), 8u);
+  map.emplace(100, 100, even);  // half full: rebuilds first
+  EXPECT_EQ(map.capacity(), 16u);
+  EXPECT_EQ(map.size(), 5u);  // 0, 2, 4, 6 and 100
+  EXPECT_EQ(map.find(~std::uint64_t{0}), nullptr);
+  for (int i = 0; i < 7; ++i) {
+    EXPECT_EQ(map.find(std::uint64_t(i)) != nullptr, i % 2 == 0) << i;
+  }
+  EXPECT_EQ(*map.find(100), 100);
 }
 
 TEST(StringsTest, Trim) {
