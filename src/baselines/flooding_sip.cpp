@@ -50,7 +50,7 @@ void FloodingSipDirectory::register_service(std::string type, std::string key,
   ++floods_originated_;
   const std::uint32_t flood_id = next_flood_id_++;
   seen_.insert({e.origin, flood_id});
-  flood_entry(e, config_.flood_ttl, flood_id);
+  flood_entry(e, kFloodTtl, flood_id);
 }
 
 void FloodingSipDirectory::deregister_service(const std::string& type,
@@ -98,7 +98,7 @@ void FloodingSipDirectory::lookup(std::string type, std::string key,
   Bytes wire;
   BufferWriter w(wire);
   w.u8(static_cast<std::uint8_t>(MsgType::kQueryFlood));
-  w.u8(config_.flood_ttl);
+  w.u8(kFloodTtl);
   const std::uint32_t flood_id = next_flood_id_++;
   seen_.insert({host_.manet_address(), flood_id});
   w.u32(flood_id);
@@ -167,7 +167,7 @@ void FloodingSipDirectory::on_packet(const net::Datagram& d) {
       const std::uint32_t id = *flood_id;
       // Re-encode preserving origin/flood id: re-flood manually.
       host_.sim().schedule(
-          host_.rng().jitter(Duration::zero(), config_.forward_jitter),
+          host_.rng().jitter(Duration::zero(), kForwardJitter),
           [this, fwd, next_ttl, id] {
             Bytes wire;
             BufferWriter w(wire);
@@ -199,7 +199,7 @@ void FloodingSipDirectory::on_packet(const net::Datagram& d) {
         ++floods_originated_;
         const std::uint32_t id = next_flood_id_++;
         seen_.insert({host_.manet_address(), id});
-        flood_entry(e, config_.flood_ttl, id);
+        flood_entry(e, kFloodTtl, id);
         return;
       }
     }
@@ -214,7 +214,7 @@ void FloodingSipDirectory::on_packet(const net::Datagram& d) {
       w.str(*qtype);
       w.str(*qkey);
       const auto delay =
-          host_.rng().jitter(Duration::zero(), config_.forward_jitter);
+          host_.rng().jitter(Duration::zero(), kForwardJitter);
       host_.sim().schedule(delay, [this, wire = std::move(wire)]() mutable {
         ++packets_sent_;
         host_.send_broadcast(kFloodingSipPort, kFloodingSipPort,
@@ -230,7 +230,7 @@ void FloodingSipDirectory::refresh() {
     ++floods_originated_;
     const std::uint32_t id = next_flood_id_++;
     seen_.insert({host_.manet_address(), id});
-    flood_entry(e, config_.flood_ttl, id);
+    flood_entry(e, kFloodTtl, id);
   }
 }
 

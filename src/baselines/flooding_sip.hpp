@@ -24,8 +24,6 @@
 namespace siphoc::baselines {
 
 struct FloodingSipConfig {
-  std::uint8_t flood_ttl = 16;
-  Duration forward_jitter = milliseconds(10);
   /// Re-flood registrations at this interval (0 = only on registration);
   /// [12] refreshes bindings periodically.
   Duration refresh_interval = seconds(30);
@@ -33,6 +31,9 @@ struct FloodingSipConfig {
 
 class FloodingSipDirectory final : public slp::Directory {
  public:
+  static constexpr std::uint8_t kFloodTtl = 16;
+  static constexpr Duration kForwardJitter = milliseconds(10);
+
   FloodingSipDirectory(net::Host& host, FloodingSipConfig config = {});
   ~FloodingSipDirectory() override;
 

@@ -6,14 +6,13 @@
 
 namespace siphoc::baselines {
 
-PicoSipDirectory::PicoSipDirectory(net::Host& host, PicoSipConfig config)
+PicoSipDirectory::PicoSipDirectory(net::Host& host)
     : host_(host),
-      config_(config),
       log_(host.sim().ctx().log(), "picosip", host.name()) {
   host_.bind(kPicoSipPort, [this](const net::Datagram& d, const net::RxInfo&) {
     on_packet(d);
   });
-  hello_timer_.start(host_.sim(), config_.hello_interval,
+  hello_timer_.start(host_.sim(), kHelloInterval,
                      [this] { send_hello(); }, milliseconds(500));
 }
 
@@ -93,12 +92,12 @@ void PicoSipDirectory::send_hello() {
   for (const auto& [k, e] : local_) {
     if (e.expires <= now()) continue;
     slp::ServiceEntry refreshed = e;
-    refreshed.expires = now() + config_.entry_lifetime;
+    refreshed.expires = now() + kEntryLifetime;
     block.advertisements.push_back(std::move(refreshed));
   }
   Bytes wire;
   BufferWriter w(wire);
-  w.u8(config_.flood_ttl);
+  w.u8(kFloodTtl);
   const std::uint32_t seq = ++hello_seq_;
   seen_.insert({host_.manet_address(), seq});
   w.u32(seq);
@@ -143,7 +142,7 @@ void PicoSipDirectory::on_packet(const net::Datagram& d) {
     w.u16(static_cast<std::uint16_t>(encoded->size()));
     w.raw(*encoded);
     host_.sim().schedule(
-        host_.rng().jitter(Duration::zero(), config_.forward_jitter),
+        host_.rng().jitter(Duration::zero(), kForwardJitter),
         [this, wire = std::move(wire)]() mutable {
           ++packets_sent_;
           host_.send_broadcast(kPicoSipPort, kPicoSipPort, std::move(wire));

@@ -21,16 +21,14 @@
 
 namespace siphoc::baselines {
 
-struct PicoSipConfig {
-  Duration hello_interval = seconds(5);
-  std::uint8_t flood_ttl = 16;
-  Duration entry_lifetime = seconds(15);  // 3 missed HELLOs
-  Duration forward_jitter = milliseconds(10);
-};
-
 class PicoSipDirectory final : public slp::Directory {
  public:
-  PicoSipDirectory(net::Host& host, PicoSipConfig config = {});
+  static constexpr Duration kHelloInterval = seconds(5);
+  static constexpr std::uint8_t kFloodTtl = 16;
+  static constexpr Duration kEntryLifetime = seconds(15);  // 3 missed HELLOs
+  static constexpr Duration kForwardJitter = milliseconds(10);
+
+  explicit PicoSipDirectory(net::Host& host);
   ~PicoSipDirectory() override;
 
   void register_service(std::string type, std::string key, std::string value,
@@ -60,7 +58,6 @@ class PicoSipDirectory final : public slp::Directory {
   };
 
   net::Host& host_;
-  PicoSipConfig config_;
   Logger log_;
   std::map<Key, slp::ServiceEntry> local_;
   std::map<Key, slp::ServiceEntry> table_;

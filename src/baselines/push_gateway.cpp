@@ -19,7 +19,7 @@ void FixedGatewayClient::start() {
   if (started_) return;
   started_ = true;
   tick();
-  timer_.start(host_.sim(), config_.retry_interval, [this] { tick(); },
+  timer_.start(host_.sim(), kRetryInterval, [this] { tick(); },
                milliseconds(300));
 }
 

@@ -16,11 +16,13 @@ namespace siphoc::baselines {
 
 struct FixedGatewayConfig {
   net::Endpoint gateway;  // statically provisioned
-  Duration retry_interval = seconds(5);
 };
 
 class FixedGatewayClient {
  public:
+  /// Period of the connect attempts while offline.
+  static constexpr Duration kRetryInterval = seconds(5);
+
   FixedGatewayClient(net::Host& host, FixedGatewayConfig config,
                      std::function<void(bool online)> on_change = {});
   ~FixedGatewayClient();

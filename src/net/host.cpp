@@ -83,16 +83,16 @@ void Host::bind(std::uint16_t port, UdpHandler handler) {
 
 void Host::unbind(std::uint16_t port) { udp_.erase(port); }
 
-bool Host::send_udp(std::uint16_t src_port, Endpoint dst, Bytes payload) {
+void Host::send_udp(std::uint16_t src_port, Endpoint dst, Bytes payload) {
   Datagram d;
   d.dst = dst.address;
   d.dst_port = dst.port;
   d.src_port = src_port;
   d.payload = std::move(payload);
-  // Source address is filled in by route_and_send once the egress interface
+  // Source address is filled in by send_datagram once the egress interface
   // is known; loopback traffic keeps 127.0.0.1.
   ++stats_.udp_sent;
-  return send_datagram(std::move(d));
+  send_datagram(std::move(d));
 }
 
 void Host::send_broadcast(std::uint16_t src_port, std::uint16_t dst_port,
@@ -108,11 +108,6 @@ void Host::send_broadcast(std::uint16_t src_port, std::uint16_t dst_port,
   ++stats_.udp_sent;
   Frame frame{id_, kBroadcastMac, std::move(d)};
   medium_->transmit(frame);
-}
-
-bool Host::send_datagram(Datagram d) {
-  route_and_send(std::move(d));
-  return true;
 }
 
 void Host::add_route(RouteEntry entry) {
@@ -164,10 +159,10 @@ void Host::forward(Datagram d) {
   d.ttl -= 1;
   ++stats_.forwarded;
   if (forward_tap_) forward_tap_(d);
-  route_and_send(std::move(d));
+  send_datagram(std::move(d));
 }
 
-void Host::route_and_send(Datagram d) {
+void Host::send_datagram(Datagram d) {
   // Loopback and local addresses short-circuit.
   if (d.dst.is_loopback() || owns_address(d.dst)) {
     if (d.src.is_unspecified()) d.src = kLoopbackAddress;

@@ -103,17 +103,19 @@ class Host {
   bool bound(std::uint16_t port) const { return udp_.contains(port); }
 
   /// Sends a UDP payload; the source address is picked from the egress
-  /// interface. Returns false when no route exists and no resolver claimed
-  /// the datagram.
-  bool send_udp(std::uint16_t src_port, Endpoint dst, Bytes payload);
+  /// interface. A datagram with no route is offered to the route resolver
+  /// (on-demand discovery may buffer it); one nobody claims is dropped and
+  /// counted in no_route_drops. The sender is not told either way.
+  void send_udp(std::uint16_t src_port, Endpoint dst, Bytes payload);
 
   /// One-hop link-local broadcast on the radio (TTL 1). Routing daemons and
   /// the multicast-SLP baseline use this as their flooding primitive.
   void send_broadcast(std::uint16_t src_port, std::uint16_t dst_port,
                       Bytes payload);
 
-  /// Full-control send (routing daemons forward buffered datagrams with it).
-  bool send_datagram(Datagram d);
+  /// Full-control send (routing daemons forward buffered datagrams with it);
+  /// routes, resolves and drops like send_udp.
+  void send_datagram(Datagram d);
 
   // --- routing table ------------------------------------------------------
   void add_route(RouteEntry entry);
@@ -175,7 +177,6 @@ class Host {
   /// Forwards a datagram addressed elsewhere: TTL check and decrement,
   /// the forward tap, then routing.
   void forward(Datagram d);
-  void route_and_send(Datagram d);
   void deliver_local(const Datagram& d, const RxInfo& info);
   bool transmit_radio(const Datagram& d, Address next_hop);
 

@@ -23,11 +23,14 @@
 
 namespace siphoc::net {
 
+/// One-way latency of the testbed's wired backbone.
+inline constexpr Duration kInternetLatency = milliseconds(20);
+
 class Internet {
  public:
   using DeliverFn = std::function<void(const Datagram&)>;
 
-  explicit Internet(sim::Simulator& sim, Duration latency = milliseconds(20))
+  explicit Internet(sim::Simulator& sim, Duration latency = kInternetLatency)
       : sim_(sim), latency_(latency) {}
 
   void attach(Address address, DeliverFn deliver) {

@@ -24,19 +24,21 @@ void merge_stats(MediumStats& into, const MediumStats& from) {
     dst.bytes += s.bytes;
   }
 }
+
+// Squared-distance thresholds of in_range(): beyond reject, out of range;
+// below accept, in range; in between, hypot decides. See in_range() for
+// why the band makes the squared test exact.
+constexpr double kRangeReject = kRadioRange * (1 + 1e-9);
+constexpr double kRangeAccept = kRadioRange * (1 - 1e-9);
+constexpr double kRangeReject2 = kRangeReject * kRangeReject;
+constexpr double kRangeAccept2 = kRangeAccept * kRangeAccept;
 }  // namespace
 
 RadioMedium::RadioMedium(sim::Simulator& sim, RadioConfig config)
     : sim_(sim),
       config_(config),
       scratch_(sim.lane_count()),
-      lane_stats_(sim.lane_count()) {
-  // See in_range() for why the band makes the squared test exact.
-  const double reject = config_.range * (1 + 1e-9);
-  const double accept = config_.range > 0 ? config_.range * (1 - 1e-9) : 0.0;
-  range_reject2_ = reject * reject;
-  range_accept2_ = accept * accept;
-}
+      lane_stats_(sim.lane_count()) {}
 
 void RadioMedium::configure_lanes(std::function<std::uint32_t(NodeId)> lane_of) {
   assert(lane_stats_.size() == sim_.lane_count());
@@ -53,10 +55,10 @@ void RadioMedium::epoch_refresh() {
   }
 }
 
-const MediumStats& RadioMedium::stats() const {
-  agg_stats_ = MediumStats{};
-  for (const MediumStats& shard : lane_stats_) merge_stats(agg_stats_, shard);
-  return agg_stats_;
+MediumStats RadioMedium::stats() const {
+  MediumStats total;
+  for (const MediumStats& shard : lane_stats_) merge_stats(total, shard);
+  return total;
 }
 
 void RadioMedium::reset_stats() {
@@ -98,7 +100,7 @@ void RadioMedium::set_jammed(NodeId mac, bool jammed) {
 }
 
 double RadioMedium::fault_loss_probability(TimePoint now) const {
-  double p = faults_.extra_loss;
+  double p = 0.0;
   if (ramp_) {
     if (now >= ramp_->t1 || ramp_->t1 <= ramp_->t0) {
       p += ramp_->p1;
@@ -147,9 +149,8 @@ std::uint64_t RadioMedium::pack_cell(std::int32_t cx, std::int32_t cy) {
 
 std::pair<std::int32_t, std::int32_t> RadioMedium::cell_coords(
     Position p) const {
-  const double cell = config_.range > 0 ? config_.range : 1.0;
-  return {static_cast<std::int32_t>(std::floor(p.x / cell)),
-          static_cast<std::int32_t>(std::floor(p.y / cell))};
+  return {static_cast<std::int32_t>(std::floor(p.x / kRadioRange)),
+          static_cast<std::int32_t>(std::floor(p.y / kRadioRange))};
 }
 
 void RadioMedium::rebuild_index() {
@@ -227,9 +228,9 @@ bool RadioMedium::in_range(Position from, Position at) const {
   const double dx = from.x - at.x;
   const double dy = from.y - at.y;
   const double d2 = dx * dx + dy * dy;
-  if (d2 > range_reject2_) return false;
-  if (d2 < range_accept2_) return true;
-  return distance(from, at) <= config_.range;
+  if (d2 > kRangeReject2) return false;
+  if (d2 < kRangeAccept2) return true;
+  return distance(from, at) <= kRadioRange;
 }
 
 TrafficClass RadioMedium::classify(const Datagram& d) {
@@ -281,8 +282,8 @@ void RadioMedium::transmit(const Frame& frame) {
   const Position from = sender->position();
   const Duration tx_delay = std::chrono::duration_cast<Duration>(
       std::chrono::duration<double>(static_cast<double>(frame.wire_size()) *
-                                    8.0 / config_.bitrate_bps));
-  const Duration arrival = tx_delay + config_.mac_latency;
+                                    8.0 / kRadioBitrateBps));
+  const Duration arrival = tx_delay + kMacLatency;
 
   // Receiver set: unicast resolves the addressed MAC directly; broadcast
   // asks the spatial index for everything possibly in range.
@@ -387,7 +388,7 @@ void RadioMedium::transmit(const Frame& frame) {
       // way a lost 802.11 ACK makes the sender retransmit a received frame.
       const Duration dup_arrival =
           rx_arrival +
-          config_.mac_latency * (1 + sim_.rng().uniform_int(0, 3));
+          kMacLatency * (1 + sim_.rng().uniform_int(0, 3));
       emit(rx_lane, dup_arrival, rx, nullptr);
     }
   }
@@ -456,7 +457,7 @@ bool RadioMedium::connected(NodeId a, NodeId b) const {
     return false;
   if (link_filter_ && (!link_filter_(a, b) || !link_filter_(b, a)))
     return false;
-  return distance(ra->position(), rb->position()) <= config_.range;
+  return distance(ra->position(), rb->position()) <= kRadioRange;
 }
 
 }  // namespace siphoc::net

@@ -1,9 +1,10 @@
 // Shared wireless medium (unit-disk radio model).
 //
 // A frame transmitted by a radio is delivered to every other radio within
-// `range` metres, after transmission delay (frame size / bitrate) plus a
-// small propagation/MAC latency, and subject to an independent per-receiver
-// loss probability. Unicast frames are filtered to the addressed MAC.
+// kRadioRange metres, after transmission delay (frame size / bitrate) plus
+// a small propagation/MAC latency, and subject to an independent
+// per-receiver loss probability. Unicast frames are filtered to the
+// addressed MAC.
 //
 // A link filter lets scenarios forbid individual links regardless of
 // distance -- the software equivalent of the firewalls the paper installs
@@ -33,11 +34,14 @@
 
 namespace siphoc::net {
 
+/// Radio range in metres (indoor 802.11b ballpark).
+inline constexpr double kRadioRange = 120.0;
+inline constexpr double kRadioBitrateBps = 11e6;  // 802.11b
+/// Contention + propagation, added to every frame's transmission delay.
+inline constexpr Duration kMacLatency = microseconds(500);
+
 struct RadioConfig {
-  double range = 120.0;              // metres (indoor 802.11b ballpark)
-  double loss_probability = 0.0;     // independent per receiver
-  double bitrate_bps = 11e6;         // 802.11b
-  Duration mac_latency = microseconds(500);  // contention + propagation
+  double loss_probability = 0.0;  // independent per receiver
 };
 
 /// Traffic class, derived from UDP ports, for overhead accounting.
@@ -61,12 +65,11 @@ struct MediumStats {
 };
 
 /// Chaos-engine fault injection knobs, all per-receiver and drawn from the
-/// simulation RNG in a fixed order (extra loss, corrupt, duplicate,
+/// simulation RNG in a fixed order (ramped loss, corrupt, duplicate,
 /// reorder) after the base loss draw. Corruption flips 1-4 random bits in
 /// the UDP payload -- headers stay intact, modeling mangled bytes that slip
 /// past the L2 checksum, which is exactly what the codecs must reject.
 struct FaultKnobs {
-  double extra_loss = 0.0;           // added on top of loss_probability
   double corrupt_probability = 0.0;  // deliver a bit-flipped copy
   double duplicate_probability = 0.0;
   double reorder_probability = 0.0;
@@ -115,7 +118,7 @@ class RadioMedium {
 
   /// Scheduled loss epoch: the injected loss probability ramps linearly
   /// from `p0` at `t0` to `p1` at `t1` and stays at `p1` afterwards (on top
-  /// of both the base loss_probability and FaultKnobs::extra_loss).
+  /// of the base loss_probability).
   void set_loss_ramp(TimePoint t0, double p0, TimePoint t1, double p1) {
     ramp_ = LossRamp{t0, t1, p0, p1};
   }
@@ -127,8 +130,8 @@ class RadioMedium {
   void set_jammed(NodeId mac, bool jammed);
   bool jammed(NodeId mac) const { return jammed_.contains(mac); }
 
-  /// Current injected loss probability (extra_loss + active ramp), clamped
-  /// to [0, 1]. Exposed so tests and the fault engine can audit the ramp.
+  /// Current injected loss probability (the active ramp), clamped to
+  /// [0, 1]. Exposed so tests and the fault engine can audit the ramp.
   double fault_loss_probability(TimePoint now) const;
 
   void transmit(const Frame& frame);
@@ -159,9 +162,8 @@ class RadioMedium {
 
   /// Aggregated over the lane shards; read at a barrier (i.e. not from
   /// concurrently-running region events).
-  const MediumStats& stats() const;
+  MediumStats stats() const;
   void reset_stats();
-  const RadioConfig& config() const { return config_; }
   sim::Simulator& simulator() { return sim_; }
 
   static TrafficClass classify(const Datagram& d);
@@ -186,7 +188,7 @@ class RadioMedium {
   /// Appends the fixed radios in the 3x3 grid cells around `from`,
   /// unsorted.
   void collect_fixed(Position from, std::vector<std::uint32_t>& out) const;
-  /// Every radio index that could be within `config_.range` of radio
+  /// Every radio index that could be within kRadioRange of radio
   /// `sender` at `from` (fixed: 3x3 grid cells; mobile: all) in attachment
   /// order -- iteration order determines RNG draw order, so it must match
   /// the brute-force scan for run-for-run reproducibility. A fixed sender's
@@ -195,16 +197,12 @@ class RadioMedium {
   std::span<const std::uint32_t> broadcast_candidates(
       std::uint32_t sender, Position from,
       std::vector<std::uint32_t>& scratch) const;
-  /// Exactly `distance(from, at) <= config_.range`, but calls hypot only
+  /// Exactly `distance(from, at) <= kRadioRange`, but calls hypot only
   /// when the squared distance is within a 1e-9 relative band of the range.
   bool in_range(Position from, Position at) const;
 
   sim::Simulator& sim_;
   RadioConfig config_;
-  // Squared-distance thresholds of in_range(): beyond reject, out of range;
-  // below accept, in range; in between, hypot decides.
-  double range_reject2_ = 0;
-  double range_accept2_ = 0;
   std::vector<RadioAttachment> radios_;
   std::vector<Position> fixed_positions_;  // parallel to radios_ (fixed only)
   std::unordered_map<NodeId, std::uint32_t> mac_index_;
@@ -240,7 +238,6 @@ class RadioMedium {
   // running the transmit, so region lanes never share mutable state.
   std::vector<TxScratch> scratch_;
   std::vector<MediumStats> lane_stats_;
-  mutable MediumStats agg_stats_;
 
   // `lane_by_radio_` mirrors radios_ (rebuilt with the index; all lane 0
   // without configure_lanes); `mobile_position_cache_` is the barrier

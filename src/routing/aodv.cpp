@@ -46,7 +46,7 @@ void Aodv::start() {
       handle_link_break(*neighbor);
     }
   });
-  hello_timer_.start(host_.sim(), config_.hello_interval,
+  hello_timer_.start(host_.sim(), kHelloInterval,
                      [this] { send_hello(); }, milliseconds(100));
   housekeeping_timer_.start(host_.sim(), milliseconds(500), [this] {
     table_.expire(now());
@@ -146,7 +146,7 @@ void Aodv::send_hello() {
   hello.dst_seqno = seqno_;
   hello.hop_count = 0;
   hello.lifetime_ms = static_cast<std::uint32_t>(
-      to_millis(config_.allowed_hello_loss * config_.hello_interval));
+      to_millis(kAllowedHelloLoss * kHelloInterval));
   hello.is_hello = true;
   send_packet(hello, net::Address{},
               PacketInfo{PacketKind::kAodvHello, self(), self()});
@@ -192,10 +192,10 @@ void Aodv::handle_rreq(const Rreq& m, std::span<const std::uint8_t> ext,
   const bool duplicate = note_rreq(m.orig, m.rreq_id);
 
   // Reverse route to the previous hop and to the originator (RFC 6.5).
-  table_.update(from, 0, false, 1, from, now() + config_.active_route_timeout);
+  table_.update(from, 0, false, 1, from, now() + kActiveRouteTimeout);
   table_.update(m.orig, m.orig_seqno, true,
                 static_cast<std::uint8_t>(m.hop_count + 1), from,
-                now() + config_.net_traversal_time());
+                now() + kNetTraversalTime);
 
   if (duplicate) return;
 
@@ -218,7 +218,7 @@ void Aodv::handle_rreq(const Rreq& m, std::span<const std::uint8_t> ext,
       reply.orig = m.orig;
       reply.hop_count = 0;
       reply.lifetime_ms =
-          static_cast<std::uint32_t>(to_millis(config_.my_route_timeout()));
+          static_cast<std::uint32_t>(to_millis(kMyRouteTimeout));
       Bytes wire = aodv::encode(reply, verdict.reply_extension);
       count_tx(wire.size(), verdict.reply_extension.size());
       metrics_.rrep_tx.add();
@@ -239,7 +239,7 @@ void Aodv::handle_rreq(const Rreq& m, std::span<const std::uint8_t> ext,
       reply.orig = m.orig;
       reply.hop_count = 0;
       reply.lifetime_ms =
-          static_cast<std::uint32_t>(to_millis(config_.my_route_timeout()));
+          static_cast<std::uint32_t>(to_millis(kMyRouteTimeout));
       send_packet(reply, from,
                   PacketInfo{PacketKind::kAodvRrep, self(), m.orig});
       return;
@@ -290,7 +290,7 @@ void Aodv::handle_rrep(const Rrep& m, std::span<const std::uint8_t> ext,
   }
 
   // Forward route to the RREP destination (RFC 6.7).
-  table_.update(from, 0, false, 1, from, now() + config_.active_route_timeout);
+  table_.update(from, 0, false, 1, from, now() + kActiveRouteTimeout);
   table_.update(m.dst, m.dst_seqno, true,
                 static_cast<std::uint8_t>(m.hop_count + 1), from,
                 now() + milliseconds(m.lifetime_ms));
@@ -391,8 +391,8 @@ void Aodv::send_rreq_for(net::Address dst, PendingDiscovery& pending) {
   broadcast_rreq(rreq, pending.service_query ? pending.query_extension
                                              : Bytes{});
 
-  const Duration wait = config_.ring_traversal_time(pending.ttl) *
-                        (1 << pending.retries);
+  const Duration wait =
+      ring_traversal_time(pending.ttl) * (1 << pending.retries);
   pending.timeout.cancel();
   pending.timeout = host_.sim().schedule(
       wait, [this, dst] { on_discovery_timeout(dst); });
@@ -409,12 +409,12 @@ void Aodv::on_discovery_timeout(net::Address dst) {
     send_rreq_for(dst, pending);
     return;
   }
-  if (pending.ttl < config_.net_diameter) {
-    pending.ttl = config_.net_diameter;
+  if (pending.ttl < kNetDiameter) {
+    pending.ttl = kNetDiameter;
     send_rreq_for(dst, pending);
     return;
   }
-  if (pending.retries < config_.rreq_retries) {
+  if (pending.retries < kRreqRetries) {
     ++pending.retries;
     send_rreq_for(dst, pending);
     return;
@@ -445,7 +445,7 @@ bool Aodv::flood_query(Bytes extension) {
   auto& pending = discoveries_[net::Address{}];
   pending.service_query = true;
   pending.query_extension = std::move(extension);
-  pending.ttl = config_.net_diameter;  // service floods go network-wide
+  pending.ttl = kNetDiameter;  // service floods go network-wide
   pending.retries = 0;
   pending.started = now();
   ++stats_.route_discoveries;
@@ -463,13 +463,12 @@ void Aodv::on_neighbor_heard(net::Address neighbor) {
   TimePoint& last = *heard_.emplace(neighbor.value(), TimePoint::min()).first;
   if (last == TimePoint::min()) neighbors_.insert(neighbor);
   last = now();
-  table_.refresh(neighbor, now() + config_.active_route_timeout);
+  table_.refresh(neighbor, now() + kActiveRouteTimeout);
 }
 
 void Aodv::check_neighbors() {
   const Duration max_silence =
-      config_.allowed_hello_loss * config_.hello_interval +
-      milliseconds(300);
+      kAllowedHelloLoss * kHelloInterval + milliseconds(300);
   std::vector<net::Address> lost;
   for (const net::Address addr : neighbors_) {
     if (now() - *heard_.find(addr.value()) > max_silence) {

@@ -38,25 +38,10 @@
 namespace siphoc::routing {
 
 struct AodvConfig {
-  Duration hello_interval = seconds(1);
-  int allowed_hello_loss = 2;
-  Duration active_route_timeout = seconds(3);
-  Duration node_traversal_time = milliseconds(40);
-  int net_diameter = 35;
-  int rreq_retries = 2;
   int ttl_start = 2;
   int ttl_increment = 2;
   int ttl_threshold = 7;
   std::size_t max_buffered_per_dst = 16;
-  Duration rreq_id_cache_ttl = seconds(3);
-
-  Duration net_traversal_time() const {
-    return 2 * node_traversal_time * net_diameter;
-  }
-  Duration ring_traversal_time(int ttl) const {
-    return 2 * node_traversal_time * (ttl + 2);
-  }
-  Duration my_route_timeout() const { return 2 * active_route_timeout; }
 };
 
 /// RREQ duplicate suppression (RFC 3561 6.3). An id stays a duplicate
@@ -84,6 +69,22 @@ class RreqCache {
 
 class Aodv final : public Protocol {
  public:
+  /// RFC 3561 section 10 parameters.
+  static constexpr Duration kHelloInterval = seconds(1);
+  static constexpr int kAllowedHelloLoss = 2;
+  static constexpr Duration kActiveRouteTimeout = seconds(3);
+  static constexpr Duration kNodeTraversalTime = milliseconds(40);
+  static constexpr int kNetDiameter = 35;
+  static constexpr int kRreqRetries = 2;
+  /// How long an RREQ id stays a duplicate after it was last heard.
+  static constexpr Duration kRreqIdCacheTtl = seconds(3);
+  static constexpr Duration kNetTraversalTime =
+      2 * kNodeTraversalTime * kNetDiameter;
+  static constexpr Duration kMyRouteTimeout = 2 * kActiveRouteTimeout;
+  static constexpr Duration ring_traversal_time(int ttl) {
+    return 2 * kNodeTraversalTime * (ttl + 2);
+  }
+
   Aodv(net::Host& host, AodvConfig config = {});
   ~Aodv() override;
 
@@ -100,7 +101,6 @@ class Aodv final : public Protocol {
 
   const AodvTable& table() const { return table_; }
   const RreqCache& rreq_cache() const { return rreq_seen_; }
-  const AodvConfig& config() const { return config_; }
 
   /// Number of datagrams currently buffered awaiting discovery.
   std::size_t buffered_count() const;
@@ -180,9 +180,9 @@ class Aodv final : public Protocol {
   std::uint32_t seqno_ = 1;
   std::uint32_t rreq_id_ = 0;
   std::map<net::Address, PendingDiscovery> discoveries_;
-  /// RreqCache::note() with the expiry the config gives an id heard now.
+  /// RreqCache::note() with the expiry of an id heard now.
   bool note_rreq(net::Address orig, std::uint32_t id) {
-    return rreq_seen_.note(orig, id, now() + config_.rreq_id_cache_ttl);
+    return rreq_seen_.note(orig, id, now() + kRreqIdCacheTtl);
   }
   RreqCache rreq_seen_;
   // Neighbor address -> when last heard; TimePoint::min() while it is not

@@ -17,9 +17,8 @@ Olsr::Metrics::Metrics(MetricsRegistry& r, std::string_view node)
       tc_tx(r.counter("olsr.tc_tx_total", node, "olsr")),
       tc_forwarded(r.counter("olsr.tc_forwarded_total", node, "olsr")) {}
 
-Olsr::Olsr(net::Host& host, OlsrConfig config)
+Olsr::Olsr(net::Host& host)
     : host_(host),
-      config_(config),
       log_(host.sim().ctx().log(), "olsr", host.name()),
       metrics_(host.sim().ctx().metrics(), host.name()) {}
 
@@ -36,9 +35,9 @@ void Olsr::start() {
   // The daemon owns the MANET subnet (see Aodv::start): only computed
   // routes are used.
   host_.set_route_source([this](net::Address dst) { return route_to(dst); });
-  hello_timer_.start(host_.sim(), config_.hello_interval,
+  hello_timer_.start(host_.sim(), kHelloInterval,
                      [this] { send_hello(); }, milliseconds(200));
-  tc_timer_.start(host_.sim(), config_.tc_interval, [this] { send_tc(); },
+  tc_timer_.start(host_.sim(), kTcInterval, [this] { send_tc(); },
                   milliseconds(400));
   housekeeping_timer_.start(host_.sim(), milliseconds(500),
                             [this] { expire_state(); });
@@ -127,7 +126,7 @@ Message& Olsr::originate(MsgType type, Duration vtime, std::uint8_t ttl) {
 
 void Olsr::send_hello() {
   // HELLO never leaves the 1-hop neighborhood.
-  Message& m = originate(MsgType::kHello, config_.neighbor_hold, 1);
+  Message& m = originate(MsgType::kHello, kNeighborHold, 1);
 
   Hello::LinkGroup sym{LinkCode::kSym, {}};
   Hello::LinkGroup mpr{LinkCode::kMpr, {}};
@@ -136,7 +135,7 @@ void Olsr::send_hello() {
   for (const auto& [addr, link] : links_) {
     if (link.sym_until > now()) {
       (mprs.contains(addr) ? mpr : sym).neighbors.push_back(addr);
-    } else if (link.last_heard + config_.neighbor_hold > now()) {
+    } else if (link.last_heard + kNeighborHold > now()) {
       asym.neighbors.push_back(addr);
     }
   }
@@ -166,7 +165,7 @@ void Olsr::send_tc() {
   }
   if (selectors_.empty() && ext.empty()) return;
 
-  Message& m = originate(MsgType::kTc, config_.topology_hold, 255);
+  Message& m = originate(MsgType::kTc, kTopologyHold, 255);
   m.tc.ansn = ++ansn_;
   m.tc.advertised.assign(selectors_.begin(), selectors_.end());
   m.extension = std::move(ext);
@@ -258,7 +257,7 @@ void Olsr::process_hello(const Message& m, net::Address from) {
   }
   if (lists_us) {
     if (link.sym_until <= now()) routes_dirty_ = true;  // becomes symmetric
-    link.sym_until = now() + config_.neighbor_hold;
+    link.sym_until = now() + kNeighborHold;
   }
   link.is_mpr_of_us = selects_us_mpr;
   if (selects_us_mpr) {
@@ -306,11 +305,11 @@ void Olsr::process_tc(const Message& m) {
       TopologyEdge& e = topology_[*it];
       if (e.expires <= t) routes_dirty_ = true;  // revived before the purge
       e.ansn = m.tc.ansn;
-      e.expires = t + config_.topology_hold;
+      e.expires = t + kTopologyHold;
     } else {
       const std::uint32_t slot = static_cast<std::uint32_t>(topology_.size());
       topology_.push_back({origin, intern(dest), m.tc.ansn, false,
-                           t + config_.topology_hold});
+                           t + kTopologyHold});
       edges_by_originator_[origin].push_back(slot);  // after intern() grew it
       routes_dirty_ = true;
     }
@@ -415,7 +414,7 @@ void Olsr::select_mprs(TimePoint t) {
 void Olsr::schedule_route_calc() {
   if (route_calc_pending_) return;
   route_calc_pending_ = true;
-  route_calc_ = host_.sim().schedule(config_.route_recalc_delay, [this] {
+  route_calc_ = host_.sim().schedule(kRouteRecalcDelay, [this] {
     route_calc_pending_ = false;
     calculate_routes();
   });
@@ -514,7 +513,7 @@ void Olsr::expire_state() {
   const TimePoint t = now();
   bool changed = false;
   for (auto it = links_.begin(); it != links_.end();) {
-    if (it->second.last_heard + config_.neighbor_hold <= t) {
+    if (it->second.last_heard + kNeighborHold <= t) {
       selectors_.erase(it->first);
       two_hop_.erase(it->first);
       it = links_.erase(it);

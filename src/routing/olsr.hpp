@@ -26,17 +26,18 @@
 
 namespace siphoc::routing {
 
-struct OlsrConfig {
-  Duration hello_interval = seconds(2);
-  Duration tc_interval = seconds(5);
-  Duration neighbor_hold = seconds(6);
-  Duration topology_hold = seconds(15);
-  Duration route_recalc_delay = milliseconds(20);
-};
-
 class Olsr final : public Protocol {
  public:
-  Olsr(net::Host& host, OlsrConfig config = {});
+  /// RFC 3626 emission intervals and holding times (sections 18.2, 18.3).
+  static constexpr Duration kHelloInterval = seconds(2);
+  static constexpr Duration kTcInterval = seconds(5);
+  static constexpr Duration kNeighborHold = seconds(6);
+  static constexpr Duration kTopologyHold = seconds(15);
+  /// Route recalculation runs this long after the first input change, so a
+  /// burst of changes costs one recalculation.
+  static constexpr Duration kRouteRecalcDelay = milliseconds(20);
+
+  explicit Olsr(net::Host& host);
   ~Olsr() override;
 
   std::string_view name() const override { return "olsr"; }
@@ -134,7 +135,6 @@ class Olsr final : public Protocol {
   }
 
   net::Host& host_;
-  OlsrConfig config_;
   Logger log_;
   RoutingHandler* handler_ = nullptr;
   bool running_ = false;

@@ -15,9 +15,12 @@
 
 namespace siphoc::rtp {
 
+/// Playout delay of every RTP session's jitter buffer.
+inline constexpr Duration kPlayoutDelay = milliseconds(60);
+
 class JitterBuffer {
  public:
-  explicit JitterBuffer(Duration playout_delay = milliseconds(60))
+  explicit JitterBuffer(Duration playout_delay = kPlayoutDelay)
       : playout_delay_(playout_delay) {}
 
   /// Publishes drop/playout counters as series on `registry` labeled with

@@ -7,7 +7,6 @@ Session::Session(net::Host& host, SessionConfig config)
       config_(config),
       log_(host.sim().ctx().log(), "rtp", host.name()),
       source_(config.voice, host.rng().fork()),
-      jitter_(config.playout_delay),
       ssrc_(host.rng().uniform_int(1, 0xffffffff)),
       seq_(static_cast<std::uint16_t>(host.rng().uniform_int(0, 0xffff))) {
   stats_.bind_metrics(host.sim().ctx().metrics(), host.name());

@@ -16,7 +16,6 @@ struct SessionConfig {
   std::uint16_t local_port = net::kRtpPortBase;
   net::Endpoint remote;
   TalkSpurtConfig voice;
-  Duration playout_delay = milliseconds(60);
 };
 
 class Session {

@@ -13,10 +13,10 @@ VoiceSource::Tick VoiceSource::tick(TimePoint now) {
     if (!started_ || !talking_) {
       talking_ = true;
       spurt_start = true;
-      state_until_ = now + rng_.exponential(config_.mean_talk);
+      state_until_ = now + rng_.exponential(kMeanTalk);
     } else {
       talking_ = false;
-      state_until_ = now + rng_.exponential(config_.mean_silence);
+      state_until_ = now + rng_.exponential(kMeanSilence);
     }
     started_ = true;
   }

@@ -11,13 +11,14 @@
 namespace siphoc::rtp {
 
 struct TalkSpurtConfig {
-  Duration mean_talk = milliseconds(1000);
-  Duration mean_silence = milliseconds(1350);
   bool always_on = false;  // disable VAD: constant 50 pps stream
 };
 
 class VoiceSource {
  public:
+  static constexpr Duration kMeanTalk = milliseconds(1000);
+  static constexpr Duration kMeanSilence = milliseconds(1350);
+
   VoiceSource(TalkSpurtConfig config, Rng rng)
       : config_(config), rng_(rng) {}
 

@@ -584,7 +584,7 @@ bool FaultEngine::faults_active() const {
   }
   const auto& knobs = bed_.medium().fault_knobs();
   if (knobs.corrupt_probability > 0 || knobs.duplicate_probability > 0 ||
-      knobs.reorder_probability > 0 || knobs.extra_loss > 0) {
+      knobs.reorder_probability > 0) {
     return true;
   }
   return bed_.medium().fault_loss_probability(bed_.sim().now()) > 0;

@@ -18,9 +18,8 @@ std::string InvariantReport::to_string() const {
   return out;
 }
 
-InvariantMonitor::InvariantMonitor(Testbed& bed, const FaultEngine* engine,
-                                   InvariantConfig config)
-    : bed_(bed), engine_(engine), config_(config) {}
+InvariantMonitor::InvariantMonitor(Testbed& bed, const FaultEngine* engine)
+    : bed_(bed), engine_(engine) {}
 
 InvariantMonitor::~InvariantMonitor() { stop(); }
 
@@ -66,10 +65,9 @@ void InvariantMonitor::violate(const char* invariant, const std::string& key,
 
 void InvariantMonitor::check_calls_terminate() {
   const TimePoint now = bed_.sim().now();
+  const Duration budget = sip::kTransactionTimeout + kGrace;
   for (std::size_t p = 0; p < bed_.phone_count(); ++p) {
     auto& ua = bed_.phone(p).user_agent();
-    const Duration budget = ua.transactions().timers().timeout() +
-                            config_.grace;
     for (const auto& call : ua.call_snapshots()) {
       const bool pending =
           call.state == sip::UserAgent::CallState::kInviting ||
@@ -87,13 +85,13 @@ void InvariantMonitor::check_calls_terminate() {
 
 void InvariantMonitor::check_transactions_bounded() {
   const TimePoint now = bed_.sim().now();
+  // Worst case before a transaction must terminate: the 64*T1 timeout, plus
+  // the longest linger timer (Timer D for client INVITE; server side
+  // lingers at most T4 more).
+  const Duration budget =
+      sip::kTransactionTimeout + sip::kTimerD + sip::kT4 + kGrace;
   for (std::size_t p = 0; p < bed_.phone_count(); ++p) {
     const auto& txn = bed_.phone(p).user_agent().transactions();
-    // Worst case before a transaction must terminate: the 64*T1 timeout,
-    // plus the longest linger timer (Timer D for client INVITE; server side
-    // lingers at most T4 more).
-    const Duration budget = txn.timers().timeout() + txn.timers().timer_d() +
-                            txn.timers().t4 + config_.grace;
     const Duration oldest = txn.oldest_transaction_age(now);
     if (oldest > budget) {
       violate("transactions-bounded",
@@ -127,8 +125,7 @@ void InvariantMonitor::check_slp_purges() {
 void InvariantMonitor::check_reattaches() {
   if (!engine_) return;
   const Duration interval =
-      bed_.options().stack.connection.check_interval *
-      static_cast<int>(config_.reattach_checks);
+      ConnectionProvider::kCheckInterval * static_cast<int>(kReattachChecks);
   if (!engine_->quiet_for(interval)) return;
 
   // A live gateway: a running stack on a host that still has its uplink.
@@ -150,7 +147,7 @@ void InvariantMonitor::check_reattaches() {
 }
 
 void InvariantMonitor::check_p2p_resolves() {
-  if (!engine_ || !engine_->quiet_for(config_.p2p_quiet)) return;
+  if (!engine_ || !engine_->quiet_for(kP2pQuiet)) return;
 
   for (const auto& domain : bed_.p2p_domains()) {
     // Live ring members; stabilization has had its quiet window, so every

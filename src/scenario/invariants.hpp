@@ -35,17 +35,6 @@
 
 namespace siphoc::scenario {
 
-struct InvariantConfig {
-  /// Slack added on top of the SIP timeout budget for I1/I2.
-  Duration grace = seconds(10);
-  /// I4 fires only after the engine reports this many connection-provider
-  /// check intervals of quiet air.
-  std::size_t reattach_checks = 4;
-  /// I5 fires only after this much engine quiet (must exceed the rings'
-  /// kStabilizeInterval * (kProbeTolerance + 1) so repair has quiesced).
-  Duration p2p_quiet = seconds(8);
-};
-
 struct InvariantViolation {
   std::string invariant;  // "calls-terminate", "transactions-bounded", ...
   std::string detail;
@@ -64,11 +53,20 @@ struct InvariantReport {
 
 class InvariantMonitor {
  public:
+  /// Slack added on top of the SIP timeout budget for I1/I2.
+  static constexpr Duration kGrace = seconds(10);
+  /// I4 fires only after the engine reports this many connection-provider
+  /// check intervals of quiet air.
+  static constexpr std::size_t kReattachChecks = 4;
+  /// I5 fires only after this much engine quiet (must exceed the rings'
+  /// kStabilizeInterval * (kProbeTolerance + 1) so repair has quiesced).
+  static constexpr Duration kP2pQuiet = seconds(8);
+
   /// `engine` gates I4 (no engine: I4 is only checked when you call
   /// check() yourself at a moment you know the air is clean -- pass the
   /// engine for soak runs).
-  InvariantMonitor(Testbed& bed, const FaultEngine* engine = nullptr,
-                   InvariantConfig config = {});
+  explicit InvariantMonitor(Testbed& bed,
+                            const FaultEngine* engine = nullptr);
   ~InvariantMonitor();
 
   InvariantMonitor(const InvariantMonitor&) = delete;
@@ -97,7 +95,6 @@ class InvariantMonitor {
 
   Testbed& bed_;
   const FaultEngine* engine_;
-  InvariantConfig config_;
   InvariantReport report_;
   std::set<std::string> reported_;
   sim::EventHandle tick_;

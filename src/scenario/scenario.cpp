@@ -1,7 +1,6 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 
 namespace siphoc::scenario {
@@ -28,18 +27,17 @@ Testbed::Testbed(Options options) : options_(std::move(options)) {
   if (regions >= 2) {
     sim::Simulator::ShardConfig shard;
     shard.regions = regions;
-    shard.lookahead = options_.radio.mac_latency;
+    shard.lookahead = net::kMacLatency;
     shard.threads = options_.sim_threads;
     sim_->enable_parallelism(shard);
-    // Cross-lane hops must cover at least one lookahead window; the radio
-    // guarantees this by construction (MAC latency), the wired backbone
-    // must be configured to.
-    assert(options_.internet_latency >= options_.radio.mac_latency);
   }
+  // Cross-lane hops must cover at least one lookahead window; the radio
+  // guarantees this by construction (MAC latency), the wired backbone
+  // must be built to.
+  static_assert(net::kInternetLatency >= net::kMacLatency);
 
   medium_ = std::make_unique<net::RadioMedium>(*sim_, options_.radio);
-  internet_ =
-      std::make_unique<net::Internet>(*sim_, options_.internet_latency);
+  internet_ = std::make_unique<net::Internet>(*sim_, net::kInternetLatency);
 
   std::vector<net::Position> positions;
   switch (options_.topology) {

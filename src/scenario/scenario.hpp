@@ -38,7 +38,6 @@ struct Options {
   bool mobile = false;
   net::RandomWaypointConfig waypoint;
   NodeStackConfig stack;  // template; its routing field is overridden
-  Duration internet_latency = milliseconds(20);
 
   // --- intra-simulation parallelism (docs/ARCHITECTURE.md) --------------
   /// Number of spatial regions to shard the simulation into (clamped to

@@ -6,7 +6,7 @@ OutboundProxy::OutboundProxy(net::Host& host, OutboundProxyConfig config)
     : host_(host),
       config_(config),
       log_(host.sim().ctx().log(), "obproxy", host.name()),
-      transport_(host, config_.port) {
+      transport_(host, net::kSipPort) {
   transport_.set_handler([this](Message m, net::Endpoint from) {
     on_message(std::move(m), from);
   });
@@ -51,7 +51,7 @@ void OutboundProxy::on_message(Message message, net::Endpoint from) {
 
   Via via;
   via.host = host_.wired_address().to_string();
-  via.port = config_.port;
+  via.port = net::kSipPort;
   via.params["branch"] =
       std::string(kBranchCookie) + "ob" + std::to_string(++branch_counter_);
   message.push_via(via);

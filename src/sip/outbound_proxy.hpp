@@ -19,8 +19,8 @@
 
 namespace siphoc::sip {
 
+/// The proxy listens on net::kSipPort.
 struct OutboundProxyConfig {
-  std::uint16_t port = 5060;
   net::Endpoint next_hop;  // the provider's registrar/proxy
 };
 

@@ -16,7 +16,7 @@ Registrar::Registrar(net::Host& host, RegistrarConfig config)
     : host_(host),
       config_(std::move(config)),
       log_(host.sim().ctx().log(), "registrar", config_.domain),
-      transport_(host, config_.port) {
+      transport_(host, net::kSipPort) {
   if (config_.store_shards > 0) {
     ShardedBindingStore::Config sc;
     sc.shards = config_.store_shards;
@@ -28,7 +28,7 @@ Registrar::Registrar(net::Host& host, RegistrarConfig config)
     on_message(std::move(m), from);
   });
   // Zero jitter: the tick must not perturb the deterministic RNG streams.
-  maintenance_.start(host_.sim(), config_.maintenance_interval,
+  maintenance_.start(host_.sim(), kMaintenanceInterval,
                      [this] { maintenance_tick(); });
 }
 
@@ -184,7 +184,7 @@ void Registrar::handle_register(Message request, net::Endpoint from) {
   const std::string aor = to->uri.aor();
 
   std::uint32_t expires =
-      static_cast<std::uint32_t>(to_seconds(config_.max_expires));
+      static_cast<std::uint32_t>(to_seconds(kDefaultExpires));
   if (const auto h = request.header("expires")) {
     std::from_chars(h->data(), h->data() + h->size(), expires);
   }
@@ -306,7 +306,7 @@ void Registrar::forward_to_binding(Message request, net::Endpoint from,
 
   Via via;
   via.host = host_.wired_address().to_string();
-  via.port = config_.port;
+  via.port = net::kSipPort;
   via.params["branch"] =
       std::string(kBranchCookie) + "reg" +
       std::to_string(host_.rng().uniform_int(0, 0xffffff));

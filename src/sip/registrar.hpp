@@ -35,12 +35,11 @@ namespace siphoc::sip {
 
 class P2pResolver;
 
+/// The registrar listens on net::kSipPort.
 struct RegistrarConfig {
   std::string domain;  // "voicehoc.ch"
-  std::uint16_t port = 5060;
   bool require_outbound_proxy = false;
   net::Address trusted_proxy;  // only source accepted when required
-  Duration max_expires = seconds(3600);
   /// Digest authentication (RFC 3261 §22): REGISTER is challenged with 401
   /// unless it carries a valid Authorization for a known account.
   bool require_auth = false;
@@ -53,12 +52,15 @@ struct RegistrarConfig {
   /// `nonce_cap` entries (oldest evicted first).
   Duration nonce_lifetime = minutes(5);
   std::size_t nonce_cap = 4096;
-  /// Cadence of the maintenance tick (nonce purge + expiry-wheel turn).
-  Duration maintenance_interval = seconds(1);
 };
 
 class Registrar {
  public:
+  /// Binding lifetime of a REGISTER that carries no Expires header.
+  static constexpr Duration kDefaultExpires = seconds(3600);
+  /// Cadence of the maintenance tick (nonce purge + expiry-wheel turn).
+  static constexpr Duration kMaintenanceInterval = seconds(1);
+
   Registrar(net::Host& host, RegistrarConfig config);
   ~Registrar();
 

@@ -45,10 +45,10 @@ void ClientTransaction::start() {
   started_ = layer_.sim().now();
   sip_counter(layer_.metrics(), "sip.client_tx." + method_, layer_.node()).add();
   layer_.transport().send(request_, destination_);
-  retransmit_interval_ = layer_.timers().t1;
+  retransmit_interval_ = kT1;
   retransmit_timer_ = layer_.sim().schedule(retransmit_interval_,
                                             [this] { retransmit(); });
-  timeout_timer_ = layer_.sim().schedule(layer_.timers().timeout(),
+  timeout_timer_ = layer_.sim().schedule(kTransactionTimeout,
                                          [this] { on_timeout(); });
 }
 
@@ -61,8 +61,8 @@ void ClientTransaction::retransmit() {
   layer_.transport().send(request_, destination_);
   // Timer A doubles unbounded; Timer E doubles capped at T2 (RFC 17.1.2.1).
   retransmit_interval_ = retransmit_interval_ * 2;
-  if (!is_invite() && retransmit_interval_ > layer_.timers().t2) {
-    retransmit_interval_ = layer_.timers().t2;
+  if (!is_invite() && retransmit_interval_ > kT2) {
+    retransmit_interval_ = kT2;
   }
   retransmit_timer_ = layer_.sim().schedule(retransmit_interval_,
                                             [this] { retransmit(); });
@@ -107,12 +107,10 @@ void ClientTransaction::on_response(const Message& response) {
       if (is_invite() && status >= 300) {
         send_ack_for(response);
         state_ = State::kCompleted;
-        kill_timer_ = layer_.sim().schedule(layer_.timers().timer_d(),
-                                            [this] { terminate(); });
+        kill_timer_ = layer_.sim().schedule(kTimerD, [this] { terminate(); });
       } else if (!is_invite()) {
         state_ = State::kCompleted;
-        kill_timer_ = layer_.sim().schedule(layer_.timers().t4,
-                                            [this] { terminate(); });
+        kill_timer_ = layer_.sim().schedule(kT4, [this] { terminate(); });
       } else {
         // INVITE 2xx: transaction ends immediately; the TU sends the ACK.
         state_ = State::kTerminated;
@@ -197,20 +195,19 @@ void ServerTransaction::respond(Message response) {
   if (is_invite()) {
     // Completed: retransmit the final response until the ACK (Timer G/H).
     state_ = State::kCompleted;
-    retransmit_interval_ = layer_.timers().t1;
+    retransmit_interval_ = kT1;
     retransmit_timer_ = layer_.sim().schedule(
         retransmit_interval_, [this] { retransmit_final(); });
-    timeout_timer_ =
-        layer_.sim().schedule(layer_.timers().timeout(), [this] {
-          // Copy the hook first: terminate() requests a reap, but reaping is
-          // deferred, so `this` outlives the call.
-          const auto timed_out = on_timeout;
-          terminate();
-          if (timed_out) timed_out();
-        });
+    timeout_timer_ = layer_.sim().schedule(kTransactionTimeout, [this] {
+      // Copy the hook first: terminate() requests a reap, but reaping is
+      // deferred, so `this` outlives the call.
+      const auto timed_out = on_timeout;
+      terminate();
+      if (timed_out) timed_out();
+    });
   } else {
     state_ = State::kCompleted;
-    kill_timer_ = layer_.sim().schedule(layer_.timers().timeout(),
+    kill_timer_ = layer_.sim().schedule(kTransactionTimeout,
                                         [this] { terminate(); });
   }
 }
@@ -221,8 +218,7 @@ void ServerTransaction::retransmit_final() {
   if (!layer_.transport().send_response(*last_response_)) {
     layer_.transport().send(*last_response_, peer_);
   }
-  retransmit_interval_ =
-      std::min(retransmit_interval_ * 2, layer_.timers().t2);
+  retransmit_interval_ = std::min(retransmit_interval_ * 2, kT2);
   retransmit_timer_ = layer_.sim().schedule(retransmit_interval_,
                                             [this] { retransmit_final(); });
 }
@@ -241,8 +237,7 @@ void ServerTransaction::handle_ack(const Message& ack) {
   state_ = State::kConfirmed;
   retransmit_timer_.cancel();
   timeout_timer_.cancel();
-  kill_timer_ = layer_.sim().schedule(layer_.timers().t4,
-                                      [this] { terminate(); });
+  kill_timer_ = layer_.sim().schedule(kT4, [this] { terminate(); });
   if (on_ack) on_ack(ack);
 }
 
@@ -259,12 +254,11 @@ void ServerTransaction::terminate() {
 // ===========================================================================
 
 TransactionLayer::TransactionLayer(Transport& transport, std::string via_host,
-                                   std::uint16_t via_port, TimerConfig timers)
+                                   std::uint16_t via_port)
     : transport_(transport),
       via_host_(std::move(via_host)),
       via_port_(via_port),
       node_(transport.host().name()),
-      timers_(timers),
       rng_(transport.host().rng().fork()) {
   transport_.set_handler([this](Message m, net::Endpoint from) {
     on_message(std::move(m), from);

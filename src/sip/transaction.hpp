@@ -21,13 +21,12 @@
 
 namespace siphoc::sip {
 
-struct TimerConfig {
-  Duration t1 = milliseconds(500);
-  Duration t2 = seconds(4);
-  Duration t4 = seconds(5);
-  Duration timeout() const { return 64 * t1; }  // Timers B, F, H, J base
-  Duration timer_d() const { return seconds(32); }
-};
+/// RFC 3261 timer values (Appendix A).
+inline constexpr Duration kT1 = milliseconds(500);
+inline constexpr Duration kT2 = seconds(4);
+inline constexpr Duration kT4 = seconds(5);
+inline constexpr Duration kTransactionTimeout = 64 * kT1;  // Timers B, F, H, J
+inline constexpr Duration kTimerD = seconds(32);
 
 class TransactionLayer;
 
@@ -146,7 +145,7 @@ class TransactionLayer {
   /// `via_host`/`via_port`: the sent-by this element writes into the Via
   /// headers of requests it originates.
   TransactionLayer(Transport& transport, std::string via_host,
-                   std::uint16_t via_port, TimerConfig timers = {});
+                   std::uint16_t via_port);
   ~TransactionLayer();
 
   /// TU request handler: fires once per new server transaction. ACKs for
@@ -180,7 +179,6 @@ class TransactionLayer {
   Transport& transport() { return transport_; }
   sim::Simulator& sim() { return transport_.host().sim(); }
   MetricsRegistry& metrics() { return sim().ctx().metrics(); }
-  const TimerConfig& timers() const { return timers_; }
   const std::string& via_host() const { return via_host_; }
   std::uint16_t via_port() const { return via_port_; }
   /// Node label for registry series (the owning host's name).
@@ -210,7 +208,6 @@ class TransactionLayer {
   std::string via_host_;
   std::uint16_t via_port_;
   std::string node_;
-  TimerConfig timers_;
   Rng rng_;
   RequestHandler request_handler_;
   StrayHandler stray_handler_;

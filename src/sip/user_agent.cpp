@@ -8,11 +8,10 @@ UserAgent::UserAgent(net::Host& host, UserAgentConfig config)
     : host_(host),
       config_(std::move(config)),
       log_(host.sim().ctx().log(), "ua", host.name()),
-      transport_(host, config_.sip_port),
+      transport_(host, kSipPort),
       // The UA talks to its outbound proxy on the same host, so loopback is
       // a valid sent-by: responses retrace through that proxy.
-      txn_(transport_, net::kLoopbackAddress.to_string(), config_.sip_port),
-      next_rtp_port_(config_.rtp_port) {
+      txn_(transport_, net::kLoopbackAddress.to_string(), kSipPort) {
   txn_.set_request_handler(
       [this](std::shared_ptr<ServerTransaction> txn, const Message& request) {
         handle_request(std::move(txn), request);
@@ -78,7 +77,7 @@ void UserAgent::send_register(std::uint32_t expires) {
 
   NameAddr contact;
   contact.uri = Uri::from_endpoint(
-      {contact_address(), config_.sip_port}, config_.aor.user);
+      {contact_address(), kSipPort}, config_.aor.user);
   reg.add_header("contact", contact.to_string());
   reg.add_header("expires", std::to_string(expires));
 
@@ -159,7 +158,7 @@ CallId UserAgent::invite(Uri target) {
   inv.add_header("call-id", txn_.new_call_id());
   inv.add_header("cseq", "1 INVITE");
   NameAddr contact;
-  contact.uri = Uri::from_endpoint({contact_address(), config_.sip_port},
+  contact.uri = Uri::from_endpoint({contact_address(), kSipPort},
                                    config_.aor.user);
   inv.add_header("contact", contact.to_string());
 
@@ -273,7 +272,7 @@ void UserAgent::reinvite(CallId id, net::Address new_media_address) {
 
   Message inv = call->dialog.make_request(std::string(kInvite));
   NameAddr contact;
-  contact.uri = Uri::from_endpoint({contact_address(), config_.sip_port},
+  contact.uri = Uri::from_endpoint({contact_address(), kSipPort},
                                    config_.aor.user);
   inv.add_header("contact", contact.to_string());
   const Sdp offer = Sdp::audio(new_media_address, call->local_rtp_port,
@@ -450,7 +449,7 @@ void UserAgent::handle_reinvite(std::shared_ptr<ServerTransaction> txn,
 
   Message ok = Message::response_to(request, 200);
   NameAddr contact;
-  contact.uri = Uri::from_endpoint({contact_address(), config_.sip_port},
+  contact.uri = Uri::from_endpoint({contact_address(), kSipPort},
                                    config_.aor.user);
   ok.add_header("contact", contact.to_string());
   const net::Address media = call.media_override.is_unspecified()
@@ -489,7 +488,7 @@ void UserAgent::accept_call(CallId id) {
     ok.set_header("to", to->to_string());
   }
   NameAddr contact;
-  contact.uri = Uri::from_endpoint({contact_address(), config_.sip_port},
+  contact.uri = Uri::from_endpoint({contact_address(), kSipPort},
                                    config_.aor.user);
   ok.add_header("contact", contact.to_string());
   const Sdp answer = Sdp::audio(media_address(), call->local_rtp_port,

@@ -24,8 +24,6 @@ struct UserAgentConfig {
   /// Digest-auth password for the account; empty = never answer 401s.
   std::string password;
   net::Endpoint outbound_proxy{net::kLoopbackAddress, 5060};
-  std::uint16_t sip_port = 5070;
-  std::uint16_t rtp_port = net::kRtpPortBase;
   Duration register_expires = seconds(3600);
   bool auto_answer = true;
   Duration answer_delay = milliseconds(200);  // ring time before answering
@@ -50,6 +48,9 @@ struct UserAgentCallbacks {
 
 class UserAgent {
  public:
+  /// UDP port of the agent's SIP transport (its Contact and Via port).
+  static constexpr std::uint16_t kSipPort = 5070;
+
   UserAgent(net::Host& host, UserAgentConfig config);
   ~UserAgent();
 
@@ -162,7 +163,7 @@ class UserAgent {
 
   std::map<CallId, Call> calls_;
   CallId next_call_id_ = 1;
-  std::uint16_t next_rtp_port_;
+  std::uint16_t next_rtp_port_ = net::kRtpPortBase;
 };
 
 }  // namespace siphoc::sip

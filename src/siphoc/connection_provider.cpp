@@ -6,11 +6,9 @@ namespace siphoc {
 
 ConnectionProvider::ConnectionProvider(net::Host& host,
                                        slp::Directory& directory,
-                                       ConnectionProviderConfig config,
                                        std::function<void(bool)> on_change)
     : host_(host),
       directory_(directory),
-      config_(config),
       log_(host.sim().ctx().log(), "connprov", host.name()),
       on_change_(std::move(on_change)),
       tunnel_(host, [this](bool connected, net::Address address) {
@@ -47,7 +45,7 @@ void ConnectionProvider::start() {
   if (started_) return;
   started_ = true;
   tick();
-  timer_.start(host_.sim(), config_.check_interval, [this] { tick(); },
+  timer_.start(host_.sim(), kCheckInterval, [this] { tick(); },
                milliseconds(500));
 }
 
@@ -85,7 +83,7 @@ void ConnectionProvider::tick() {
       .counter("connprov.gateway_discoveries_total", host_.name(), "connprov")
       .add();
   directory_.lookup(
-      std::string(slp::kGatewayService), "", config_.lookup_timeout,
+      std::string(slp::kGatewayService), "", kLookupTimeout,
       [this](std::optional<slp::ServiceEntry> entry) {
         lookup_in_flight_ = false;
         if (!started_ || !entry || tunnel_.connected()) return;

@@ -9,16 +9,15 @@
 
 namespace siphoc {
 
-struct ConnectionProviderConfig {
-  Duration check_interval = seconds(5);
-  Duration lookup_timeout = seconds(3);
-};
-
 class ConnectionProvider {
  public:
+  /// Period of the attachment check; an offline check looks up a gateway
+  /// service and waits at most kLookupTimeout for it.
+  static constexpr Duration kCheckInterval = seconds(5);
+  static constexpr Duration kLookupTimeout = seconds(3);
+
   /// `on_change` fires when Internet reachability flips.
   ConnectionProvider(net::Host& host, slp::Directory& directory,
-                     ConnectionProviderConfig config = {},
                      std::function<void(bool online)> on_change = {});
   ~ConnectionProvider();
 
@@ -42,7 +41,6 @@ class ConnectionProvider {
 
   net::Host& host_;
   slp::Directory& directory_;
-  ConnectionProviderConfig config_;
   Logger log_;
   std::function<void(bool)> on_change_;
   TunnelClient tunnel_;

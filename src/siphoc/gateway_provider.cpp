@@ -4,11 +4,9 @@
 
 namespace siphoc {
 
-GatewayProvider::GatewayProvider(net::Host& host, slp::Directory& directory,
-                                 GatewayProviderConfig config)
+GatewayProvider::GatewayProvider(net::Host& host, slp::Directory& directory)
     : host_(host),
       directory_(directory),
-      config_(config),
       log_(host.sim().ctx().log(), "gateway", host.name()),
       server_(host) {}
 
@@ -18,7 +16,7 @@ void GatewayProvider::start() {
   if (started_) return;
   started_ = true;
   tick();
-  timer_.start(host_.sim(), config_.advertise_interval, [this] { tick(); });
+  timer_.start(host_.sim(), kAdvertiseInterval, [this] { tick(); });
 }
 
 void GatewayProvider::stop() {
@@ -52,7 +50,7 @@ void GatewayProvider::tick() {
       .add();
   directory_.register_service(std::string(slp::kGatewayService),
                               host_.manet_address().to_string(),
-                              ep.to_string(), config_.advertise_lifetime);
+                              ep.to_string(), kAdvertiseLifetime);
 }
 
 }  // namespace siphoc

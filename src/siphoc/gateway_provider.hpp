@@ -9,15 +9,14 @@
 
 namespace siphoc {
 
-struct GatewayProviderConfig {
-  Duration advertise_interval = seconds(5);
-  Duration advertise_lifetime = seconds(15);
-};
-
 class GatewayProvider {
  public:
-  GatewayProvider(net::Host& host, slp::Directory& directory,
-                  GatewayProviderConfig config = {});
+  /// The gateway service is re-advertised every kAdvertiseInterval with a
+  /// lifetime of three intervals.
+  static constexpr Duration kAdvertiseInterval = seconds(5);
+  static constexpr Duration kAdvertiseLifetime = seconds(15);
+
+  GatewayProvider(net::Host& host, slp::Directory& directory);
   ~GatewayProvider();
 
   /// Starts advertising + serving if (and only if) the host currently has
@@ -34,7 +33,6 @@ class GatewayProvider {
 
   net::Host& host_;
   slp::Directory& directory_;
-  GatewayProviderConfig config_;
   Logger log_;
   TunnelServer server_;
   sim::PeriodicTimer timer_;

@@ -3,32 +3,31 @@
 namespace siphoc {
 
 NodeStack::NodeStack(net::Host& host, net::Internet* internet,
-                     NodeStackConfig config)
-    : host_(host), config_(std::move(config)) {
-  if (config_.routing == RoutingKind::kAodv) {
-    routing_ = std::make_unique<routing::Aodv>(host_, config_.aodv);
+                     const NodeStackConfig& config)
+    : host_(host) {
+  if (config.routing == RoutingKind::kAodv) {
+    routing_ = std::make_unique<routing::Aodv>(host_);
   } else {
-    routing_ = std::make_unique<routing::Olsr>(host_, config_.olsr);
+    routing_ = std::make_unique<routing::Olsr>(host_);
   }
 
-  const slp::ManetSlpConfig slp_config = config_.slp.value_or(
-      config_.routing == RoutingKind::kAodv
-          ? slp::ManetSlpConfig::for_aodv()
-          : slp::ManetSlpConfig::for_olsr());
+  const slp::ManetSlpConfig slp_config = config.slp.value_or(
+      config.routing == RoutingKind::kAodv ? slp::ManetSlpConfig::for_aodv()
+                                           : slp::ManetSlpConfig::for_olsr());
   slp_ = std::make_unique<slp::ManetSlp>(host_, *routing_, slp_config);
 
-  proxy_ = std::make_unique<SiphocProxy>(host_, *slp_, config_.proxy);
+  proxy_ = std::make_unique<SiphocProxy>(host_, *slp_, config.proxy);
   if (internet != nullptr) {
     proxy_->set_dns_resolver([internet](const std::string& domain) {
       return internet->resolve(domain);
     });
   }
 
-  gateway_ = std::make_unique<GatewayProvider>(host_, *slp_, config_.gateway);
+  gateway_ = std::make_unique<GatewayProvider>(host_, *slp_);
   // Reachability flips reach the proxy: a re-attach may carry a fresh
   // tunnel lease, and upstream provider bindings must follow it.
   connection_ = std::make_unique<ConnectionProvider>(
-      host_, *slp_, config_.connection,
+      host_, *slp_,
       [this](bool online) { proxy_->on_internet_change(online); });
   proxy_->set_internet_address_fn(
       [this] { return connection_->internet_address(); });

@@ -33,13 +33,9 @@ enum class RoutingKind { kAodv, kOlsr };
 
 struct NodeStackConfig {
   RoutingKind routing = RoutingKind::kAodv;
-  routing::AodvConfig aodv;
-  routing::OlsrConfig olsr;
   /// Defaults to the plugin matching the routing protocol.
   std::optional<slp::ManetSlpConfig> slp;
   ProxyConfig proxy;
-  GatewayProviderConfig gateway;
-  ConnectionProviderConfig connection;
 };
 
 class NodeStack {
@@ -47,7 +43,7 @@ class NodeStack {
   /// `internet` supplies DNS for provider domains; pass nullptr for nodes
   /// that will never reach the Internet.
   NodeStack(net::Host& host, net::Internet* internet,
-            NodeStackConfig config = {});
+            const NodeStackConfig& config = {});
   ~NodeStack();
 
   NodeStack(const NodeStack&) = delete;
@@ -69,7 +65,6 @@ class NodeStack {
 
  private:
   net::Host& host_;
-  NodeStackConfig config_;
   std::unique_ptr<routing::Protocol> routing_;
   std::unique_ptr<slp::ManetSlp> slp_;
   std::unique_ptr<SiphocProxy> proxy_;

@@ -111,7 +111,7 @@ void SiphocProxy::handle_register(Message request, net::Endpoint from) {
   const std::string user = to->uri.user;
 
   std::uint32_t expires =
-      static_cast<std::uint32_t>(to_seconds(config_.binding_lifetime_cap));
+      static_cast<std::uint32_t>(to_seconds(kDefaultBindingLifetime));
   if (const auto h = request.header("expires")) {
     std::from_chars(h->data(), h->data() + h->size(), expires);
   }
@@ -247,7 +247,7 @@ void SiphocProxy::route_request(Message request, net::Endpoint from) {
   proxy_counter(host_, "proxy.slp_lookups_total").add();
   log_.info("resolving ", aor, " via MANET SLP");
   directory_.lookup(
-      std::string(slp::kSipContactService), aor, config_.slp_lookup_timeout,
+      std::string(slp::kSipContactService), aor, kSlpLookupTimeout,
       [this, request = std::move(request), from,
        domain](std::optional<slp::ServiceEntry> entry) mutable {
         if (entry) {

@@ -37,9 +37,7 @@ namespace siphoc {
 
 struct ProxyConfig {
   std::uint16_t port = 5060;
-  Duration slp_lookup_timeout = seconds(4);
   Duration slp_advertise_lifetime = minutes(2);
-  Duration binding_lifetime_cap = seconds(3600);
   /// Fix for the paper's §3.2 open issue: providers that require their own
   /// outbound proxy cannot be reached via the URI domain's DNS entry
   /// (SIPHoc overwrote the client's outbound-proxy setting). Provisioning
@@ -50,6 +48,11 @@ struct ProxyConfig {
 
 class SiphocProxy {
  public:
+  /// How long a MANET SLP lookup for a callee's contact may take.
+  static constexpr Duration kSlpLookupTimeout = seconds(4);
+  /// Binding lifetime of a REGISTER that carries no Expires header.
+  static constexpr Duration kDefaultBindingLifetime = seconds(3600);
+
   SiphocProxy(net::Host& host, slp::Directory& directory,
               ProxyConfig config = {});
   ~SiphocProxy();

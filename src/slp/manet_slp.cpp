@@ -196,7 +196,7 @@ Bytes ManetSlp::on_outgoing(const routing::PacketInfo& info) {
   for (const auto& [k, e] : local_) {
     if (e.expires <= now()) continue;
     block.advertisements.push_back(e);
-    if (block.advertisements.size() >= config_.max_adverts_per_packet) break;
+    if (block.advertisements.size() >= kMaxAdvertsPerPacket) break;
   }
   metrics_.adverts_piggybacked.add(block.advertisements.size());
   return encode_extension(block, now());
@@ -238,8 +238,7 @@ routing::HandlerVerdict ManetSlp::on_incoming(
     // Carry our own registrations along for free cache warming.
     for (const auto& [k, e] : local_) {
       if (e.expires > now() &&
-          reply.replies.front().entries.size() <
-              config_.max_adverts_per_packet) {
+          reply.replies.front().entries.size() < kMaxAdvertsPerPacket) {
         if (e.type != match->type || e.key != match->key) {
           reply.replies.front().entries.push_back(e);
         }

@@ -36,14 +36,10 @@ struct ManetSlpConfig {
   /// Disables piggybacking entirely (ablation: MANET SLP degenerates to a
   /// cache that never fills; lookups always miss).
   bool piggyback_enabled = true;
-  /// Per-packet cap on advertisement records, to bound routing-packet
-  /// growth on nodes with many registrations.
-  std::size_t max_adverts_per_packet = 8;
   /// Intermediate nodes may answer a flooded query from their cache (like
   /// AODV intermediate-node RREPs); disable to make only the owner answer
   /// (ablation: measures what cache answering buys).
   bool answer_from_cache = true;
-  Duration default_lookup_timeout = seconds(4);
 
   /// Reactive plugin defaults (AODV).
   static ManetSlpConfig for_aodv() {
@@ -65,6 +61,10 @@ struct ManetSlpConfig {
 
 class ManetSlp final : public Directory, public routing::RoutingHandler {
  public:
+  /// Per-packet cap on advertisement records, to bound routing-packet
+  /// growth on nodes with many registrations.
+  static constexpr std::size_t kMaxAdvertsPerPacket = 8;
+
   /// Installs itself as the protocol's routing handler.
   ManetSlp(net::Host& host, routing::Protocol& protocol, ManetSlpConfig config);
   ~ManetSlp() override;

@@ -13,9 +13,8 @@ enum class SlpMsg : std::uint8_t {
 
 }  // namespace
 
-MulticastSlp::MulticastSlp(net::Host& host, MulticastSlpConfig config)
+MulticastSlp::MulticastSlp(net::Host& host)
     : host_(host),
-      config_(config),
       log_(host.sim().ctx().log(), "mslp", host.name()) {
   host_.bind(net::kSlpPort,
              [this](const net::Datagram& d, const net::RxInfo&) {
@@ -77,7 +76,7 @@ void MulticastSlp::lookup(std::string type, std::string key, Duration timeout,
   pending_.push_back(std::move(pending));
 
   seen_.insert({q.origin, q.id});
-  send_request(q, config_.flood_ttl);
+  send_request(q, kFloodTtl);
 }
 
 std::vector<ServiceEntry> MulticastSlp::snapshot() const {
@@ -171,7 +170,7 @@ void MulticastSlp::handle_request(const ServiceQuery& q, std::uint8_t ttl) {
   if (ttl <= 1) return;
   const std::uint8_t next_ttl = static_cast<std::uint8_t>(ttl - 1);
   host_.sim().schedule(
-      host_.rng().jitter(Duration::zero(), config_.forward_jitter),
+      host_.rng().jitter(Duration::zero(), kForwardJitter),
       [this, q, next_ttl] { send_request(q, next_ttl); });
 }
 

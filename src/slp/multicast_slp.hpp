@@ -21,16 +21,14 @@
 
 namespace siphoc::slp {
 
-struct MulticastSlpConfig {
-  std::uint8_t flood_ttl = 16;
-  Duration default_lookup_timeout = seconds(4);
-  /// Forwarding jitter decorrelates rebroadcasts (broadcast storm relief).
-  Duration forward_jitter = milliseconds(10);
-};
-
 class MulticastSlp final : public Directory {
  public:
-  MulticastSlp(net::Host& host, MulticastSlpConfig config = {});
+  /// Hop limit of a service-request flood.
+  static constexpr std::uint8_t kFloodTtl = 16;
+  /// Forwarding jitter decorrelates rebroadcasts (broadcast storm relief).
+  static constexpr Duration kForwardJitter = milliseconds(10);
+
+  explicit MulticastSlp(net::Host& host);
   ~MulticastSlp() override;
 
   void register_service(std::string type, std::string key, std::string value,
@@ -59,7 +57,6 @@ class MulticastSlp final : public Directory {
   };
 
   net::Host& host_;
-  MulticastSlpConfig config_;
   Logger log_;
 
   std::map<Key, ServiceEntry> local_;

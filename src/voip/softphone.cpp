@@ -9,9 +9,6 @@ sip::UserAgentConfig to_ua_config(const SoftPhoneConfig& config) {
   ua.aor = config.aor();
   ua.password = config.password;
   ua.outbound_proxy = config.outbound_proxy;
-  ua.sip_port = config.sip_port;
-  ua.rtp_port = config.rtp_port;
-  ua.register_expires = config.register_expires;
   ua.auto_answer = config.auto_answer;
   ua.answer_delay = config.answer_delay;
   ua.media_address = config.media_address;
@@ -108,7 +105,6 @@ void SoftPhone::on_established(sip::CallId id, net::Endpoint remote_rtp) {
   media.local_port = ua_.local_rtp(id).port;
   media.remote = remote_rtp;
   media.voice = config_.voice;
-  media.playout_delay = config_.playout_delay;
   auto session = std::make_unique<rtp::Session>(host_, media);
   session->start();
   media_[id] = std::move(session);

@@ -23,13 +23,9 @@ struct SoftPhoneConfig {
   std::string domain;            // "voicehoc.ch"  (the SIP provider)
   std::string password;          // digest-auth secret (empty = no auth)
   net::Endpoint outbound_proxy{net::kLoopbackAddress, 5060};
-  std::uint16_t sip_port = 5070;
-  std::uint16_t rtp_port = net::kRtpPortBase;
   bool auto_answer = true;
   Duration answer_delay = milliseconds(200);
-  Duration register_expires = seconds(3600);
   rtp::TalkSpurtConfig voice;
-  Duration playout_delay = milliseconds(60);
   /// Address advertised for media; unset = the host's MANET address.
   net::Address media_address;
 

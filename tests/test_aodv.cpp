@@ -273,7 +273,7 @@ class AodvRreqCache : public ::testing::Test {
 };
 
 TEST_F(AodvRreqCache, IdStaysDuplicateUntilTheTickAfterItsExpiry) {
-  const Duration ttl = AodvConfig{}.rreq_id_cache_ttl;
+  const Duration ttl = Aodv::kRreqIdCacheTtl;
   ASSERT_EQ(ttl, seconds(3));
   EXPECT_TRUE(forwarded(1, milliseconds(1100)));  // expires at ~4.1 s
   EXPECT_TRUE(forwarded(2, milliseconds(1101)));

@@ -217,6 +217,20 @@ TEST_F(TwoNodeFixture, LossyMediumDropsSometimes) {
   EXPECT_LT(got, 150);
 }
 
+// stats() is a snapshot: one held across a transmission keeps the counts
+// it was taken with, so a caller can diff two of them.
+TEST(RadioMediumTest, StatsSnapshotsOutliveLaterCalls) {
+  sim::Simulator sim(1);
+  RadioMedium medium(sim, RadioConfig{});
+  Host a(sim, 0, "a");
+  a.attach_radio(medium, Address(10, 0, 0, 1),
+                 std::make_shared<StaticMobility>(Position{0, 0}));
+  const MediumStats& before = medium.stats();
+  a.send_broadcast(9000, 9000, to_bytes("x"));
+  const MediumStats& after = medium.stats();
+  EXPECT_EQ(after.frames_sent - before.frames_sent, 1u);
+}
+
 // The spatial grid in RadioMedium is an exactness-preserving index: for any
 // mix of fixed and mobile nodes, disabled radios, detachments, and a fixed
 // radio swapped for another at a new position, the broadcast delivery set
@@ -277,7 +291,7 @@ TEST(RadioMediumTest, GridMatchesBruteForceDeliverySets) {
     if (up[s]) {
       for (int i = 0; i < n; ++i) {
         if (i == s || !up[i]) continue;
-        if (distance(pos[s], pos[i]) <= config.range) expected[i] = 1;
+        if (distance(pos[s], pos[i]) <= kRadioRange) expected[i] = 1;
       }
     }
     const std::vector<int> before = received;
@@ -322,7 +336,7 @@ TEST(RadioMediumTest, GridMatchesBruteForceDeliverySets) {
   int near_old = -1;
   for (int i = 0; i < kNodes; i += 2) {
     if (i == kSwappedOut || i == kDisabled) continue;
-    if (distance(fixed_pos(i), old_pos) <= config.range) near_old = i;
+    if (distance(fixed_pos(i), old_pos) <= kRadioRange) near_old = i;
   }
   ASSERT_NE(near_old, -1) << "no fixed radio next to the swapped-out one";
   const int swapped_in_before = received[kSwappedIn];
@@ -352,8 +366,8 @@ TEST(RadioMediumTest, RangeBoundaryFollowsDistance) {
       {{961.58616225712854, 199.76848365186396},
        {1062.4048287275682, 264.84994407741254}},
   };
-  ASSERT_LE(distance(pairs[0].first, pairs[0].second), config.range);
-  ASSERT_GT(distance(pairs[1].first, pairs[1].second), config.range);
+  ASSERT_LE(distance(pairs[0].first, pairs[0].second), kRadioRange);
+  ASSERT_GT(distance(pairs[1].first, pairs[1].second), kRadioRange);
   for (const auto& [pa, pb] : pairs) {
     sim::Simulator sim(1);
     RadioMedium medium(sim, config);
@@ -369,7 +383,7 @@ TEST(RadioMediumTest, RangeBoundaryFollowsDistance) {
     a.send_broadcast(9000, 9000, to_bytes("a"));
     b.send_broadcast(9000, 9000, to_bytes("b"));
     sim.run_for(milliseconds(10));
-    const int expected = distance(pa, pb) <= config.range ? 1 : 0;
+    const int expected = distance(pa, pb) <= kRadioRange ? 1 : 0;
     EXPECT_EQ(got_b, expected);
     EXPECT_EQ(got_a, expected);
   }

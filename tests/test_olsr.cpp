@@ -12,8 +12,7 @@ using net::Address;
 
 class OlsrNet : public ::testing::Test {
  protected:
-  void build(const std::vector<net::Position>& positions,
-             OlsrConfig config = {}) {
+  void build(const std::vector<net::Position>& positions) {
     sim_ = std::make_unique<sim::Simulator>(11);
     medium_ = std::make_unique<net::RadioMedium>(*sim_, net::RadioConfig{});
     for (std::size_t i = 0; i < positions.size(); ++i) {
@@ -22,7 +21,7 @@ class OlsrNet : public ::testing::Test {
       host->attach_radio(*medium_, addr(i),
                          std::make_shared<net::StaticMobility>(positions[i]));
       hosts_.push_back(std::move(host));
-      daemons_.push_back(std::make_unique<Olsr>(*hosts_.back(), config));
+      daemons_.push_back(std::make_unique<Olsr>(*hosts_.back()));
       daemons_.back()->start();
     }
   }
@@ -136,7 +135,7 @@ TEST_F(OlsrNet, DeadNeighborExpires) {
   sim_->run_for(seconds(10));
   ASSERT_TRUE(daemons_[0]->symmetric_neighbors().contains(addr(1)));
   medium_->set_enabled(1, false);
-  sim_->run_for(seconds(10));  // neighbor_hold = 6 s
+  sim_->run_for(seconds(10));  // Olsr::kNeighborHold = 6 s
   EXPECT_FALSE(daemons_[0]->symmetric_neighbors().contains(addr(1)));
   EXPECT_FALSE(daemons_[0]->has_route(addr(2)));
 }
