@@ -89,20 +89,20 @@ int main() {
     slp::ManetSlpConfig config;
   };
   std::vector<Variant> variants;
-  variants.push_back({"full (default)", slp::ManetSlpConfig::for_aodv()});
+  variants.push_back({"full (default)", slp::ManetSlpConfig{}});
   {
-    auto c = slp::ManetSlpConfig::for_aodv();
+    slp::ManetSlpConfig c;
     c.piggyback_enabled = false;
     variants.push_back({"no-piggyback", c});
   }
   {
-    auto c = slp::ManetSlpConfig::for_aodv();
+    slp::ManetSlpConfig c;
     c.answer_from_cache = false;
     variants.push_back({"owner-only answers", c});
   }
   {
-    auto c = slp::ManetSlpConfig::for_aodv();
-    c.advertise_on_hello = true;
+    slp::ManetSlpConfig c;
+    c.advertise_on_aodv_hello = true;
     variants.push_back({"hello-gossip", c});
   }
 

@@ -80,9 +80,7 @@ Sample run_flooding_baseline(int hops, std::uint64_t seed, SimContext& ctx) {
   options.spacing = 100;
   options.routing = RoutingKind::kAodv;
   // Disable the SIPHoc piggyback plugin entirely: MANET SLP stays empty.
-  slp::ManetSlpConfig off = slp::ManetSlpConfig::for_aodv();
-  off.piggyback_enabled = false;
-  options.stack.slp = off;
+  options.stack.slp.piggyback_enabled = false;
 
   scenario::Testbed bed(options);
   bed.start();

@@ -42,7 +42,7 @@ struct Net {
               net::Position{100.0 * static_cast<double>(i), 0}));
       daemons.push_back(std::make_unique<routing::Aodv>(*hosts.back()));
       dirs.push_back(std::make_unique<slp::ManetSlp>(
-          *hosts.back(), *daemons.back(), slp::ManetSlpConfig::for_aodv()));
+          *hosts.back(), *daemons.back()));
       daemons.back()->start();
     }
   }

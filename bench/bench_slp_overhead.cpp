@@ -60,7 +60,7 @@ Row run(Mechanism mechanism, std::size_t nodes, std::uint64_t seed,
     switch (mechanism) {
       case Mechanism::kManetSlp:
         dirs.push_back(std::make_unique<slp::ManetSlp>(
-            *hosts.back(), *daemons.back(), slp::ManetSlpConfig::for_aodv()));
+            *hosts.back(), *daemons.back()));
         break;
       case Mechanism::kMulticastSlp:
         dirs.push_back(std::make_unique<slp::MulticastSlp>(*hosts.back()));

@@ -10,7 +10,8 @@
 //  polyphone.ethz.ch). ... This is an open issue."
 //
 // Three providers are spawned on the emulated Internet; the third demands
-// its own outbound proxy. A MANET phone registers with each through the
+// its own outbound proxy. Three MANET nodes, one phone each (a node runs
+// one VoIP application), register with one provider apiece through the
 // gateway; the first two succeed, the third reproduces the documented
 // failure (403 from the provider).
 #include <cstdio>
@@ -45,7 +46,8 @@ int main() {
   bool all_as_expected = true;
 
   for (int i = 0; i < 3; ++i) {
-    auto& phone = bed.add_phone(3, std::string("user") + std::to_string(i),
+    auto& phone = bed.add_phone(static_cast<std::size_t>(3 - i),
+                                std::string("user") + std::to_string(i),
                                 domains[i]);
     int last_status = 0;
     voip::SoftPhoneEvents events;

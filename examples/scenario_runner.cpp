@@ -54,7 +54,13 @@
 //                                                    extra nodes, `shards N`
 //                                                    uses the N-shard binding
 //                                                    store
-//   phone NODE USER DOMAIN                        -- out-of-the-box phone
+//   phone NODE USER DOMAIN                        -- out-of-the-box phone,
+//                                                    one per node: a node's
+//                                                    phone owns its SIP
+//                                                    port, so a second one
+//                                                    is refused and counted
+//                                                    as an error (non-zero
+//                                                    exit)
 //   settle SECONDS                                -- let protocols converge
 //   register USER                                 -- power on + REGISTER
 //   call USER TARGET-AOR                          -- place + await a call
@@ -71,6 +77,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/context.hpp"
 #include "common/metrics.hpp"
@@ -278,7 +285,12 @@ struct Runner {
       std::size_t node = 0;
       std::string user, domain;
       is >> node >> user >> domain;
-      auto& phone = bed->add_phone(node, user, domain);
+      voip::SoftPhone* phone = nullptr;
+      try {
+        phone = &bed->add_phone(node, user, domain);
+      } catch (const std::logic_error& refused) {
+        return fail("phone " + user + " refused: " + refused.what());
+      }
       voip::SoftPhoneEvents ev;
       ev.on_incoming = [this, user](sip::CallId, const sip::Uri& from) {
         say("  [%s] ringing: call from %s\n", user.c_str(),
@@ -292,8 +304,8 @@ struct Runner {
       ev.on_ended = [this, user](sip::CallId) {
         say("  [%s] call ended\n", user.c_str());
       };
-      phone.set_events(std::move(ev));
-      phones[user] = &phone;
+      phone->set_events(std::move(ev));
+      phones[user] = phone;
       phone_nodes[user] = node;
     } else if (cmd == "settle" || cmd == "wait") {
       ensure_bed();

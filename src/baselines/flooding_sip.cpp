@@ -15,19 +15,15 @@ enum class MsgType : std::uint8_t {
 
 }  // namespace
 
-FloodingSipDirectory::FloodingSipDirectory(net::Host& host,
-                                           FloodingSipConfig config)
+FloodingSipDirectory::FloodingSipDirectory(net::Host& host)
     : host_(host),
-      config_(config),
       log_(host.sim().ctx().log(), "floodsip", host.name()) {
   host_.bind(kFloodingSipPort,
              [this](const net::Datagram& d, const net::RxInfo&) {
                on_packet(d);
              });
-  if (config_.refresh_interval > Duration::zero()) {
-    refresh_timer_.start(host_.sim(), config_.refresh_interval,
-                         [this] { refresh(); }, seconds(1));
-  }
+  refresh_timer_.start(host_.sim(), kRefreshInterval, [this] { refresh(); },
+                       seconds(1));
 }
 
 FloodingSipDirectory::~FloodingSipDirectory() {

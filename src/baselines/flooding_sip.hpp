@@ -23,18 +23,15 @@
 
 namespace siphoc::baselines {
 
-struct FloodingSipConfig {
-  /// Re-flood registrations at this interval (0 = only on registration);
-  /// [12] refreshes bindings periodically.
-  Duration refresh_interval = seconds(30);
-};
-
 class FloodingSipDirectory final : public slp::Directory {
  public:
   static constexpr std::uint8_t kFloodTtl = 16;
   static constexpr Duration kForwardJitter = milliseconds(10);
+  /// Registrations are re-flooded at this interval; [12] refreshes
+  /// bindings periodically.
+  static constexpr Duration kRefreshInterval = seconds(30);
 
-  FloodingSipDirectory(net::Host& host, FloodingSipConfig config = {});
+  explicit FloodingSipDirectory(net::Host& host);
   ~FloodingSipDirectory() override;
 
   void register_service(std::string type, std::string key, std::string value,
@@ -67,7 +64,6 @@ class FloodingSipDirectory final : public slp::Directory {
   };
 
   net::Host& host_;
-  FloodingSipConfig config_;
   Logger log_;
   std::map<Key, slp::ServiceEntry> local_;
   std::map<Key, slp::ServiceEntry> table_;  // network-wide mapping

@@ -1,6 +1,7 @@
 #include "net/host.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace siphoc::net {
 
@@ -78,7 +79,10 @@ Position Host::position() const {
 }
 
 void Host::bind(std::uint16_t port, UdpHandler handler) {
-  udp_[port] = std::move(handler);
+  if (!udp_.try_emplace(port, std::move(handler)).second) {
+    throw std::logic_error(name_ + ": UDP port " + std::to_string(port) +
+                           " is already bound");
+  }
 }
 
 void Host::unbind(std::uint16_t port) { udp_.erase(port); }
@@ -91,7 +95,6 @@ void Host::send_udp(std::uint16_t src_port, Endpoint dst, Bytes payload) {
   d.payload = std::move(payload);
   // Source address is filled in by send_datagram once the egress interface
   // is known; loopback traffic keeps 127.0.0.1.
-  ++stats_.udp_sent;
   send_datagram(std::move(d));
 }
 
@@ -105,7 +108,6 @@ void Host::send_broadcast(std::uint16_t src_port, std::uint16_t dst_port,
   d.dst_port = dst_port;
   d.ttl = 1;
   d.payload = std::move(payload);
-  ++stats_.udp_sent;
   Frame frame{id_, kBroadcastMac, std::move(d)};
   medium_->transmit(frame);
 }

@@ -12,7 +12,7 @@
 //     Internet, tunnel leases) with longest-prefix-match lookup; a running
 //     MANET routing daemon (AODV/OLSR) answers for the MANET subnet itself
 //     through set_route_source, so its routes live in the daemon only,
-//   * a UDP port space with bind/sendto semantics.
+//   * a UDP port space with bind/sendto semantics; each port has one owner.
 //
 // IP forwarding is on by default: datagrams addressed elsewhere are
 // re-routed with TTL decrement, which is what turns a set of hosts plus a
@@ -98,6 +98,8 @@ class Host {
   Internet* internet() { return internet_; }
 
   // --- UDP --------------------------------------------------------------
+  /// A port has one owner: binding one that is already bound throws
+  /// std::logic_error and leaves the first handler in place.
   void bind(std::uint16_t port, UdpHandler handler);
   void unbind(std::uint16_t port);
   bool bound(std::uint16_t port) const { return udp_.contains(port); }
@@ -159,7 +161,6 @@ class Host {
   void set_forwarding(bool enabled) { forwarding_ = enabled; }
 
   struct HostStats {
-    std::uint64_t udp_sent = 0;
     std::uint64_t udp_delivered = 0;
     std::uint64_t forwarded = 0;
     std::uint64_t no_route_drops = 0;

@@ -11,9 +11,7 @@ namespace siphoc::net {
 namespace {
 void merge_stats(MediumStats& into, const MediumStats& from) {
   into.frames_sent += from.frames_sent;
-  into.bytes_sent += from.bytes_sent;
   into.frames_delivered += from.frames_delivered;
-  into.frames_lost += from.frames_lost;
   into.unicast_unreachable += from.unicast_unreachable;
   into.frames_corrupted += from.frames_corrupted;
   into.frames_duplicated += from.frames_duplicated;
@@ -264,7 +262,6 @@ void RadioMedium::transmit(const Frame& frame) {
   const std::uint32_t lane = sim_.current_lane();
   MediumStats& st = lane_stats_[lane];
   ++st.frames_sent;
-  st.bytes_sent += frame.wire_size();
   auto& cls = st.by_class[classify(frame.datagram)];
   ++cls.frames;
   cls.bytes += frame.wire_size();
@@ -353,13 +350,9 @@ void RadioMedium::transmit(const Frame& frame) {
     // stream and chaos runs are seed-reproducible.
     if (config_.loss_probability > 0 &&
         sim_.rng().chance(config_.loss_probability)) {
-      ++st.frames_lost;
       continue;
     }
-    if (fault_loss > 0 && sim_.rng().chance(fault_loss)) {
-      ++st.frames_lost;
-      continue;
-    }
+    if (fault_loss > 0 && sim_.rng().chance(fault_loss)) continue;
     const bool corrupt = faults_.corrupt_probability > 0 &&
                          sim_.rng().chance(faults_.corrupt_probability);
     const bool duplicate = faults_.duplicate_probability > 0 &&

@@ -54,9 +54,7 @@ struct ClassStats {
 
 struct MediumStats {
   std::uint64_t frames_sent = 0;
-  std::uint64_t bytes_sent = 0;
   std::uint64_t frames_delivered = 0;
-  std::uint64_t frames_lost = 0;        // random loss draws
   std::uint64_t unicast_unreachable = 0;  // addressed MAC out of range
   std::uint64_t frames_corrupted = 0;   // delivered with flipped payload bits
   std::uint64_t frames_duplicated = 0;  // extra copy scheduled

@@ -22,9 +22,8 @@ Aodv::Metrics::Metrics(MetricsRegistry& r, std::string_view node)
       discovery_ms(r.histogram("routing.route_discovery_ms",
                                kLatencyBucketsMs, node, "aodv")) {}
 
-Aodv::Aodv(net::Host& host, AodvConfig config)
+Aodv::Aodv(net::Host& host)
     : host_(host),
-      config_(config),
       log_(host.sim().ctx().log(), "aodv", host.name()),
       metrics_(host.sim().ctx().metrics(), host.name()) {}
 
@@ -351,7 +350,7 @@ bool Aodv::on_no_route(net::Datagram d) {
   if (!running_) return false;
   if (!d.dst.in_prefix(net::kManetPrefix, net::kManetPrefixLen)) return false;
   auto& pending = discoveries_[d.dst];
-  if (pending.buffered.size() >= config_.max_buffered_per_dst) {
+  if (pending.buffered.size() >= kMaxBufferedPerDst) {
     pending.buffered.pop_front();
   }
   const net::Address dst = d.dst;
@@ -365,7 +364,7 @@ bool Aodv::on_no_route(net::Datagram d) {
 
 void Aodv::start_discovery(net::Address dst) {
   auto& pending = discoveries_[dst];
-  pending.ttl = config_.ttl_start;
+  pending.ttl = kTtlStart;
   pending.retries = 0;
   pending.started = now();
   ++stats_.route_discoveries;
@@ -404,8 +403,8 @@ void Aodv::on_discovery_timeout(net::Address dst) {
   auto& pending = it->second;
 
   // Expanding ring search, then full-diameter retries (RFC 6.4).
-  if (pending.ttl < config_.ttl_threshold) {
-    pending.ttl += config_.ttl_increment;
+  if (pending.ttl < kTtlThreshold) {
+    pending.ttl += kTtlIncrement;
     send_rreq_for(dst, pending);
     return;
   }

@@ -37,13 +37,6 @@
 
 namespace siphoc::routing {
 
-struct AodvConfig {
-  int ttl_start = 2;
-  int ttl_increment = 2;
-  int ttl_threshold = 7;
-  std::size_t max_buffered_per_dst = 16;
-};
-
 /// RREQ duplicate suppression (RFC 3561 6.3). An id stays a duplicate
 /// until the first housekeeping tick at or after its latest expiry, not
 /// just until that instant: exactly while the expiry is later than the
@@ -76,6 +69,14 @@ class Aodv final : public Protocol {
   static constexpr Duration kNodeTraversalTime = milliseconds(40);
   static constexpr int kNetDiameter = 35;
   static constexpr int kRreqRetries = 2;
+  /// Expanding ring search (RFC 3561 6.4): the first RREQ TTL, its step,
+  /// and the TTL past which the next try floods the whole network.
+  static constexpr int kTtlStart = 2;
+  static constexpr int kTtlIncrement = 2;
+  static constexpr int kTtlThreshold = 7;
+  /// Datagrams buffered per destination during its discovery; a full
+  /// buffer drops its oldest.
+  static constexpr std::size_t kMaxBufferedPerDst = 16;
   /// How long an RREQ id stays a duplicate after it was last heard.
   static constexpr Duration kRreqIdCacheTtl = seconds(3);
   static constexpr Duration kNetTraversalTime =
@@ -85,7 +86,7 @@ class Aodv final : public Protocol {
     return 2 * kNodeTraversalTime * (ttl + 2);
   }
 
-  Aodv(net::Host& host, AodvConfig config = {});
+  explicit Aodv(net::Host& host);
   ~Aodv() override;
 
   std::string_view name() const override { return "aodv"; }
@@ -171,7 +172,6 @@ class Aodv final : public Protocol {
   std::optional<net::RouteEntry> route_to(net::Address dst) const;
 
   net::Host& host_;
-  AodvConfig config_;
   Logger log_;
   RoutingHandler* handler_ = nullptr;
   bool running_ = false;

@@ -2,14 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 namespace siphoc::scenario {
-
-NodeStackConfig Testbed::node_stack_config() const {
-  NodeStackConfig config = options_.stack;
-  config.routing = options_.routing;
-  return config;
-}
 
 std::uint32_t Testbed::lane_of_phone(const voip::SoftPhone& phone) const {
   for (std::size_t k = 0; k < phones_.size(); ++k) {
@@ -102,8 +97,8 @@ Testbed::Testbed(Options options) : options_(std::move(options)) {
     }
     host->attach_radio(*medium_, manet_address(i), std::move(mobility));
 
-    stacks_.push_back(std::make_unique<NodeStack>(*host, internet_.get(),
-                                                  node_stack_config()));
+    stacks_.push_back(std::make_unique<NodeStack>(
+        *host, internet_.get(), options_.routing, options_.stack));
     hosts_.push_back(std::move(host));
   }
 }
@@ -139,6 +134,10 @@ voip::SoftPhone& Testbed::add_phone(std::size_t node,
 
 voip::SoftPhone& Testbed::add_phone(std::size_t node,
                                     voip::SoftPhoneConfig config) {
+  if (std::ranges::find(phone_nodes_, node) != phone_nodes_.end()) {
+    throw std::invalid_argument("node " + std::to_string(node) +
+                                " already has a phone");
+  }
   sim::Simulator::LaneScope lane_scope(*sim_, node_lane(node));
   phones_.push_back(
       std::make_unique<voip::SoftPhone>(host(node), std::move(config)));
@@ -167,7 +166,7 @@ void Testbed::restart_node(std::size_t i) {
   sim::Simulator::LaneScope lane_scope(*sim_, node_lane(i));
   medium_->set_enabled(static_cast<net::NodeId>(i), true);
   stacks_[i] = std::make_unique<NodeStack>(*hosts_[i], internet_.get(),
-                                           node_stack_config());
+                                           options_.routing, options_.stack);
   if (started_) stacks_[i]->start();
   for (std::size_t k = 0; k < phones_.size(); ++k) {
     if (phone_nodes_[k] == i) phones_[k]->power_on();

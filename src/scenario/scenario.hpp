@@ -37,7 +37,7 @@ struct Options {
   RoutingKind routing = RoutingKind::kAodv;
   bool mobile = false;
   net::RandomWaypointConfig waypoint;
-  NodeStackConfig stack;  // template; its routing field is overridden
+  NodeStackConfig stack;
 
   // --- intra-simulation parallelism (docs/ARCHITECTURE.md) --------------
   /// Number of spatial regions to shard the simulation into (clamped to
@@ -131,7 +131,9 @@ class Testbed {
 
   // --- application layer --------------------------------------------------
   /// Creates a softphone on a node, configured exactly as the paper's
-  /// Figure 2: account user@domain, outbound proxy localhost.
+  /// Figure 2: account user@domain, outbound proxy localhost. A node runs
+  /// one VoIP application, which owns the node's SIP port: a second phone
+  /// on a node throws std::invalid_argument and adds nothing.
   voip::SoftPhone& add_phone(std::size_t node, const std::string& username,
                              const std::string& domain = "voicehoc.ch");
   voip::SoftPhone& add_phone(std::size_t node, voip::SoftPhoneConfig config);
@@ -200,7 +202,6 @@ class Testbed {
   net::Host& add_internet_host(const std::string& name);
 
  private:
-  NodeStackConfig node_stack_config() const;
   std::uint32_t lane_of_phone(const voip::SoftPhone& phone) const;
 
   Options options_;

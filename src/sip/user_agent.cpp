@@ -57,7 +57,7 @@ void UserAgent::start_registration() {
   registering_ = true;
   if (register_call_id_.empty()) register_call_id_ = txn_.new_call_id();
   send_register(
-      static_cast<std::uint32_t>(to_seconds(config_.register_expires)));
+      static_cast<std::uint32_t>(to_seconds(kRegisterExpires)));
 }
 
 void UserAgent::stop_registration() {
@@ -126,7 +126,7 @@ void UserAgent::send_register(std::uint32_t expires) {
           // Refresh at half the granted lifetime.
           register_refresh_.cancel();
           register_refresh_ = host_.sim().schedule(
-              config_.register_expires / 2, [this] {
+              kRegisterExpires / 2, [this] {
                 if (registering_) start_registration();
               });
         }

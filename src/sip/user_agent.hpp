@@ -24,7 +24,6 @@ struct UserAgentConfig {
   /// Digest-auth password for the account; empty = never answer 401s.
   std::string password;
   net::Endpoint outbound_proxy{net::kLoopbackAddress, 5060};
-  Duration register_expires = seconds(3600);
   bool auto_answer = true;
   Duration answer_delay = milliseconds(200);  // ring time before answering
   /// Address advertised in SDP (media must be reachable end to end). Unset:
@@ -50,6 +49,8 @@ class UserAgent {
  public:
   /// UDP port of the agent's SIP transport (its Contact and Via port).
   static constexpr std::uint16_t kSipPort = 5070;
+  /// Registration lifetime asked for; refreshed at half of it.
+  static constexpr Duration kRegisterExpires = seconds(3600);
 
   UserAgent(net::Host& host, UserAgentConfig config);
   ~UserAgent();

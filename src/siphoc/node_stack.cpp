@@ -3,18 +3,15 @@
 namespace siphoc {
 
 NodeStack::NodeStack(net::Host& host, net::Internet* internet,
-                     const NodeStackConfig& config)
+                     RoutingKind routing, const NodeStackConfig& config)
     : host_(host) {
-  if (config.routing == RoutingKind::kAodv) {
+  if (routing == RoutingKind::kAodv) {
     routing_ = std::make_unique<routing::Aodv>(host_);
   } else {
     routing_ = std::make_unique<routing::Olsr>(host_);
   }
 
-  const slp::ManetSlpConfig slp_config = config.slp.value_or(
-      config.routing == RoutingKind::kAodv ? slp::ManetSlpConfig::for_aodv()
-                                           : slp::ManetSlpConfig::for_olsr());
-  slp_ = std::make_unique<slp::ManetSlp>(host_, *routing_, slp_config);
+  slp_ = std::make_unique<slp::ManetSlp>(host_, *routing_, config.slp);
 
   proxy_ = std::make_unique<SiphocProxy>(host_, *slp_, config.proxy);
   if (internet != nullptr) {

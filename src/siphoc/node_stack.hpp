@@ -18,7 +18,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "routing/aodv.hpp"
 #include "routing/olsr.hpp"
@@ -32,9 +31,7 @@ namespace siphoc {
 enum class RoutingKind { kAodv, kOlsr };
 
 struct NodeStackConfig {
-  RoutingKind routing = RoutingKind::kAodv;
-  /// Defaults to the plugin matching the routing protocol.
-  std::optional<slp::ManetSlpConfig> slp;
+  slp::ManetSlpConfig slp;
   ProxyConfig proxy;
 };
 
@@ -42,7 +39,7 @@ class NodeStack {
  public:
   /// `internet` supplies DNS for provider domains; pass nullptr for nodes
   /// that will never reach the Internet.
-  NodeStack(net::Host& host, net::Internet* internet,
+  NodeStack(net::Host& host, net::Internet* internet, RoutingKind routing,
             const NodeStackConfig& config = {});
   ~NodeStack();
 

@@ -177,12 +177,11 @@ bool ManetSlp::should_advertise(const routing::PacketInfo& info) const {
   using routing::PacketKind;
   switch (info.kind) {
     case PacketKind::kAodvHello:
+      return config_.advertise_on_aodv_hello;
     case PacketKind::kOlsrHello:
-      return config_.advertise_on_hello;
     case PacketKind::kOlsrTc:
-      return config_.advertise_on_tc;
     case PacketKind::kAodvRrep:
-      return config_.advertise_on_rrep;
+      return true;
     case PacketKind::kAodvRreq:
     case PacketKind::kAodvRerr:
       return false;

@@ -7,7 +7,8 @@
 // Figure 4's second line). Behaviour per protocol:
 //
 //   AODV (reactive plugin):
-//     - local registrations ride on RREP answers and (optionally) HELLOs;
+//     - local registrations ride on RREP answers (and, in the hello-gossip
+//       ablation, on HELLOs);
 //     - a cache-miss lookup piggybacks a ServiceQuery on a destination-less
 //       RREQ flood; whichever node owns a match answers with an RREP that
 //       carries the ServiceReply *and establishes the route back to it* --
@@ -29,10 +30,10 @@
 namespace siphoc::slp {
 
 struct ManetSlpConfig {
-  /// Which routing packet kinds carry local advertisements.
-  bool advertise_on_hello = false;
-  bool advertise_on_tc = true;
-  bool advertise_on_rrep = true;
+  /// Local advertisements ride on every OLSR HELLO and TC and on every
+  /// AODV RREP; AODV HELLOs carry them only with this set (ablation:
+  /// hello gossip on top of on-demand resolution).
+  bool advertise_on_aodv_hello = false;
   /// Disables piggybacking entirely (ablation: MANET SLP degenerates to a
   /// cache that never fills; lookups always miss).
   bool piggyback_enabled = true;
@@ -40,23 +41,6 @@ struct ManetSlpConfig {
   /// AODV intermediate-node RREPs); disable to make only the owner answer
   /// (ablation: measures what cache answering buys).
   bool answer_from_cache = true;
-
-  /// Reactive plugin defaults (AODV).
-  static ManetSlpConfig for_aodv() {
-    ManetSlpConfig c;
-    c.advertise_on_hello = false;  // on-demand resolution carries the state
-    c.advertise_on_tc = false;
-    c.advertise_on_rrep = true;
-    return c;
-  }
-  /// Proactive plugin defaults (OLSR).
-  static ManetSlpConfig for_olsr() {
-    ManetSlpConfig c;
-    c.advertise_on_hello = true;
-    c.advertise_on_tc = true;
-    c.advertise_on_rrep = false;
-    return c;
-  }
 };
 
 class ManetSlp final : public Directory, public routing::RoutingHandler {
@@ -66,7 +50,8 @@ class ManetSlp final : public Directory, public routing::RoutingHandler {
   static constexpr std::size_t kMaxAdvertsPerPacket = 8;
 
   /// Installs itself as the protocol's routing handler.
-  ManetSlp(net::Host& host, routing::Protocol& protocol, ManetSlpConfig config);
+  ManetSlp(net::Host& host, routing::Protocol& protocol,
+           ManetSlpConfig config = {});
   ~ManetSlp() override;
 
   // --- Directory ---------------------------------------------------------

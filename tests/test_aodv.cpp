@@ -11,7 +11,7 @@ using net::Address;
 /// N-node chain, 100 m spacing, 120 m range: only neighbors hear each other.
 class AodvChain : public ::testing::Test {
  protected:
-  void build(std::size_t n, AodvConfig config = {}) {
+  void build(std::size_t n) {
     sim_ = std::make_unique<sim::Simulator>(7);
     medium_ = std::make_unique<net::RadioMedium>(*sim_, net::RadioConfig{});
     for (std::size_t i = 0; i < n; ++i) {
@@ -22,7 +22,7 @@ class AodvChain : public ::testing::Test {
           std::make_shared<net::StaticMobility>(
               net::Position{100.0 * static_cast<double>(i), 0}));
       hosts_.push_back(std::move(host));
-      daemons_.push_back(std::make_unique<Aodv>(*hosts_.back(), config));
+      daemons_.push_back(std::make_unique<Aodv>(*hosts_.back()));
       daemons_.back()->start();
     }
   }
@@ -97,15 +97,13 @@ TEST_F(AodvChain, BuffersPacketsDuringDiscovery) {
 }
 
 TEST_F(AodvChain, BufferCapDropsOldest) {
-  AodvConfig config;
-  config.max_buffered_per_dst = 3;
-  build(2, config);
+  build(2);
   // No receiver for this dst: point at a nonexistent node so discovery
   // fails and we can observe the cap.
-  for (int i = 0; i < 10; ++i) {
+  for (std::size_t i = 0; i < Aodv::kMaxBufferedPerDst + 10; ++i) {
     hosts_[0]->send_udp(9000, {Address(10, 0, 0, 200), 9000}, to_bytes("x"));
   }
-  EXPECT_LE(daemons_[0]->buffered_count(), 3u);
+  EXPECT_EQ(daemons_[0]->buffered_count(), Aodv::kMaxBufferedPerDst);
 }
 
 TEST_F(AodvChain, DiscoveryForUnknownNodeFails) {
@@ -186,13 +184,9 @@ TEST_F(AodvChain, StoppedDaemonLeavesThePeerOnLink) {
 }
 
 TEST_F(AodvChain, ExpandingRingEventuallyReachesFarNode) {
-  AodvConfig config;
-  config.ttl_start = 1;
-  config.ttl_increment = 1;
-  config.ttl_threshold = 3;
-  build(7, config);
+  build(7);
   sim_->run_for(seconds(1));
-  // 6 hops away: several ring expansions needed.
+  // 6 hops away: the rings of TTL 2 and 4 fall short, TTL 6 reaches.
   EXPECT_TRUE(probe(0, 6, seconds(10)));
 }
 

@@ -76,11 +76,11 @@ TEST_F(BaselineNet, FloodingSipRegistrationReachesEveryNode) {
 
 TEST_F(BaselineNet, FloodingSipColdLookupViaQueryFlood) {
   build(3);
+  // The whole test runs before the first refresh flood, which isolates the
+  // query path.
   std::vector<std::unique_ptr<FloodingSipDirectory>> dirs;
-  FloodingSipConfig config;
-  config.refresh_interval = Duration::zero();  // isolate the query path
   for (auto& h : hosts_) {
-    dirs.push_back(std::make_unique<FloodingSipDirectory>(*h, config));
+    dirs.push_back(std::make_unique<FloodingSipDirectory>(*h));
   }
   // Register AFTER building node 0's view would miss -- simulate a node
   // that joined late: clear by registering only on node 2 and querying
@@ -98,25 +98,24 @@ TEST_F(BaselineNet, FloodingSipColdLookupViaQueryFlood) {
       lookup_blocking(*dirs[0], "sip-contact", "bob@x", seconds(2));
   ASSERT_TRUE(hit);
   EXPECT_EQ(hit->value, "10.0.0.3:5060");
+  EXPECT_EQ(dirs[2]->floods_originated(), 1u);  // no refresh flood yet
 }
 
 TEST_F(BaselineNet, FloodingSipPeriodicRefreshKeepsCostAccruing) {
   build(3);
-  FloodingSipConfig config;
-  config.refresh_interval = seconds(5);
   std::vector<std::unique_ptr<FloodingSipDirectory>> dirs;
   for (auto& h : hosts_) {
-    dirs.push_back(std::make_unique<FloodingSipDirectory>(*h, config));
+    dirs.push_back(std::make_unique<FloodingSipDirectory>(*h));
   }
   dirs[0]->register_service("sip-contact", "alice@x", "10.0.0.1:5060",
                             minutes(5));
   sim_->run_for(seconds(1));
   std::uint64_t early = 0;
   for (auto& d : dirs) early += d->packets_sent();
-  sim_->run_for(seconds(30));
+  sim_->run_for(4 * FloodingSipDirectory::kRefreshInterval + seconds(5));
   std::uint64_t late = 0;
   for (auto& d : dirs) late += d->packets_sent();
-  // The idle network keeps paying: ~6 refresh floods in 30 s.
+  // The idle network keeps paying: 4 refresh floods in 125 s.
   EXPECT_GT(late, early + 10);
 }
 

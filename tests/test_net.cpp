@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <tuple>
 
 #include "net/host.hpp"
@@ -134,6 +135,26 @@ TEST_F(TwoNodeFixture, UnicastInRangeDelivers) {
   sim_.run_for(milliseconds(10));
   EXPECT_EQ(got, "hi");
   EXPECT_EQ(medium_.stats().frames_delivered, 1u);
+}
+
+TEST_F(TwoNodeFixture, SecondBindOnABoundPortIsRefused) {
+  int first = 0;
+  int second = 0;
+  b_.bind(9000, [&](const Datagram&, const RxInfo&) { ++first; });
+  EXPECT_THROW(
+      b_.bind(9000, [&](const Datagram&, const RxInfo&) { ++second; }),
+      std::logic_error);
+  a_.send_udp(9000, {Address(10, 0, 0, 2), 9000}, to_bytes("x"));
+  sim_.run_for(milliseconds(10));
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 0);
+  // Once unbound, the port takes a new owner.
+  b_.unbind(9000);
+  b_.bind(9000, [&](const Datagram&, const RxInfo&) { ++second; });
+  a_.send_udp(9000, {Address(10, 0, 0, 2), 9000}, to_bytes("x"));
+  sim_.run_for(milliseconds(10));
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
 }
 
 TEST_F(TwoNodeFixture, BroadcastReachesNeighbors) {

@@ -31,7 +31,7 @@ class ProxyFixture : public ::testing::Test {
               net::Position{50.0 * static_cast<double>(i), 0}));
       daemons_.push_back(std::make_unique<routing::Aodv>(*hosts_.back()));
       dirs_.push_back(std::make_unique<slp::ManetSlp>(
-          *hosts_.back(), *daemons_.back(), slp::ManetSlpConfig::for_aodv()));
+          *hosts_.back(), *daemons_.back()));
       daemons_.back()->start();
       proxies_.push_back(
           std::make_unique<SiphocProxy>(*hosts_.back(), *dirs_.back()));

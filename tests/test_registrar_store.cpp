@@ -4,8 +4,10 @@
 // path, digest-nonce expiry (401 + stale=true) and the bounded nonce table.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
+#include "common/random.hpp"
 #include "sip/auth.hpp"
 #include "sip/p2p_resolver.hpp"
 #include "sip/registrar.hpp"
@@ -83,6 +85,80 @@ TYPED_TEST(BindingStoreTest, RefreshOutlivesOriginalExpiry) {
   // invalidated, not trusted).
   EXPECT_EQ(store.purge_expired(at(50)), 0u);
   EXPECT_TRUE(store.lookup("a@x", at(50)));
+}
+
+// Differential test: each seed drives both backends through one random
+// sequence of upserts, erases, lookups, purges and size reads while time
+// moves forward in millisecond steps of up to 1.5 s, and every answer and
+// the final contents must agree. Expiries
+// land anywhere inside a wheel granule, including the one `now` is in, and
+// the small wheel makes them lap it; few AORs and shards, a small initial
+// capacity and erases make probe chains, tombstones and growth common.
+TEST(BindingStoreDifferential, RandomOpSequencesAgree) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    SingleMapStore reference;
+    ShardedBindingStore::Config config;
+    config.shards = 4;
+    config.initial_capacity = 4;
+    config.wheel_slots = 16;
+    ShardedBindingStore sharded(config);
+    TimePoint now{};
+    for (int op = 0; op < 4000; ++op) {
+      const std::string aor =
+          "u" + std::to_string(rng.uniform_int(0, 63)) + "@voicehoc.ch";
+      switch (rng.uniform_int(0, 9)) {
+        case 0:
+        case 1:
+        case 2: {
+          const TimePoint expires =
+              now + milliseconds(rng.uniform_int(0, 40000));
+          const Uri contact = contact_uri(rng.uniform_int(1, 250), "u");
+          reference.upsert(aor, contact, expires);
+          sharded.upsert(aor, contact, expires);
+          break;
+        }
+        case 3:
+          ASSERT_EQ(sharded.erase(aor), reference.erase(aor)) << "op " << op;
+          break;
+        case 4:
+        case 5: {
+          const auto want = reference.lookup(aor, now);
+          const auto got = sharded.lookup(aor, now);
+          ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+          if (want) {
+            EXPECT_EQ(got->contact, want->contact) << "op " << op;
+            EXPECT_EQ(got->expires, want->expires) << "op " << op;
+          }
+          break;
+        }
+        case 6:
+          ASSERT_EQ(sharded.purge_expired(now), reference.purge_expired(now))
+              << "op " << op;
+          break;
+        case 7:
+          ASSERT_EQ(sharded.size(), reference.size()) << "op " << op;
+          break;
+        default:
+          now += milliseconds(rng.uniform_int(0, 1500));
+          break;
+      }
+    }
+    std::map<std::string, ContactBinding> want, got;
+    reference.for_each([&](const std::string& aor, const ContactBinding& b) {
+      want[aor] = b;
+    });
+    sharded.for_each([&](const std::string& aor, const ContactBinding& b) {
+      got[aor] = b;
+    });
+    ASSERT_EQ(got.size(), want.size());
+    for (const auto& [aor, binding] : want) {
+      ASSERT_TRUE(got.contains(aor)) << aor;
+      EXPECT_EQ(got[aor].contact, binding.contact) << aor;
+      EXPECT_EQ(got[aor].expires, binding.expires) << aor;
+    }
+  }
 }
 
 TEST(ShardedStoreTest, SurvivesGrowthWellPastInitialCapacity) {

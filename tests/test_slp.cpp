@@ -106,10 +106,8 @@ class ManetSlpTest : public ::testing::TestWithParam<Plugin> {
       } else {
         daemons_.push_back(std::make_unique<routing::Olsr>(*hosts_.back()));
       }
-      dirs_.push_back(std::make_unique<ManetSlp>(
-          *hosts_.back(), *daemons_.back(),
-          GetParam() == Plugin::kAodv ? ManetSlpConfig::for_aodv()
-                                      : ManetSlpConfig::for_olsr()));
+      dirs_.push_back(
+          std::make_unique<ManetSlp>(*hosts_.back(), *daemons_.back()));
       daemons_.back()->start();
     }
     // Proactive plugins need convergence time.
@@ -220,9 +218,7 @@ TEST_P(ManetSlpTest, PiggybackDisabledAblationNeverResolvesRemote) {
     } else {
       daemons_.push_back(std::make_unique<routing::Olsr>(*hosts_.back()));
     }
-    ManetSlpConfig config = GetParam() == Plugin::kAodv
-                                ? ManetSlpConfig::for_aodv()
-                                : ManetSlpConfig::for_olsr();
+    ManetSlpConfig config;
     config.piggyback_enabled = false;
     dirs_.push_back(
         std::make_unique<ManetSlp>(*hosts_.back(), *daemons_.back(), config));

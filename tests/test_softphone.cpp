@@ -2,6 +2,8 @@
 // including caller-side CANCEL of a ringing call.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "scenario/scenario.hpp"
 
 namespace siphoc::voip {
@@ -31,6 +33,19 @@ class PhonePair : public ::testing::Test {
   SoftPhone* alice_ = nullptr;
   SoftPhone* bob_ = nullptr;
 };
+
+TEST_F(PhonePair, SecondPhoneOnANodeIsRefused) {
+  // alice owns node 0's SIP port; a second phone there would take it.
+  EXPECT_THROW(bed_->add_phone(0, "carol"), std::invalid_argument);
+  EXPECT_EQ(bed_->phone_count(), 2u);
+  bool alice_rang = false;
+  SoftPhoneEvents ae;
+  ae.on_incoming = [&](sip::CallId, const sip::Uri&) { alice_rang = true; };
+  alice_->set_events(std::move(ae));
+  const auto call = bed_->call_and_wait(*bob_, "alice@voicehoc.ch");
+  EXPECT_TRUE(call.established);
+  EXPECT_TRUE(alice_rang);
+}
 
 TEST_F(PhonePair, CallerCancelsRingingCall) {
   sip::CallId bob_incoming = 0;

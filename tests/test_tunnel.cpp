@@ -32,7 +32,7 @@ class TunnelFixture : public ::testing::Test {
       hosts_.push_back(std::move(host));
       daemons_.push_back(std::make_unique<routing::Aodv>(*hosts_.back()));
       dirs_.push_back(std::make_unique<slp::ManetSlp>(
-          *hosts_.back(), *daemons_.back(), slp::ManetSlpConfig::for_aodv()));
+          *hosts_.back(), *daemons_.back()));
       daemons_.back()->start();
       gateways_.push_back(
           std::make_unique<GatewayProvider>(*hosts_.back(), *dirs_.back()));

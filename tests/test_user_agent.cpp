@@ -72,13 +72,12 @@ TEST_F(UaFixture, UnregisterRemovesBinding) {
 }
 
 TEST_F(UaFixture, RegistrationRefreshes) {
-  auto c = config("alice", alice_host_);
-  c.register_expires = seconds(10);
-  UserAgent alice(alice_host_, c);
+  UserAgent alice(alice_host_, config("alice", alice_host_));
   alice.start_registration();
   sim_.run_for(seconds(1));
   const auto before = registrar_->registers_accepted();
-  sim_.run_for(seconds(30));  // several half-lifetime refreshes
+  // Several half-lifetime refreshes (one every 1,800 s).
+  sim_.run_for(2 * UserAgent::kRegisterExpires);
   EXPECT_GT(registrar_->registers_accepted(), before + 2);
   EXPECT_TRUE(alice.registered());
 }

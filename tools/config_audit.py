@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Lists every settable configuration value and the code that sets it.
 
-    python3 tools/config_audit.py [ROOT]
+    python3 tools/config_audit.py [--max-settable N] [ROOT]
 
 Scans ROOT/src/**/*.hpp (ROOT defaults to the repository this script lives
 in) for every struct whose name ends in Config, Options or Knobs, nested
@@ -20,7 +20,9 @@ chain; where no type is found, every struct with a member of that name is
 credited. Comments and string literals are ignored.
 
 Prints the total number of settable values and exits 1 when any of them
-has no writer (a value nobody sets is a constant), 2 on usage errors.
+has no writer (a value nobody sets is a constant) or when the total is above
+--max-settable, 2 on usage errors. The bound lets the count grow only
+through an edit that raises it.
 """
 
 import argparse
@@ -258,6 +260,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("root", nargs="?", default=Path(__file__).resolve().parent.parent,
                         type=Path)
+    parser.add_argument("--max-settable", type=int, metavar="N",
+                        help="fail when more than N values are settable")
     args = parser.parse_args()
     if not (args.root / "src").is_dir():
         print(f"config_audit: no src/ under {args.root}", file=sys.stderr)
@@ -282,7 +286,11 @@ def main():
                 print(f"      {file}:{','.join(ats)}")
     print(f"total: {total} settable values in {len(structs)} structs; "
           f"{unwritten} without a writer")
-    return 1 if unwritten else 0
+    over = args.max_settable is not None and total > args.max_settable
+    if over:
+        print(f"config_audit: {total} settable values, more than the "
+              f"{args.max_settable} allowed", file=sys.stderr)
+    return 1 if unwritten or over else 0
 
 
 if __name__ == "__main__":
