@@ -65,9 +65,9 @@ AblationRow run(const slp::ManetSlpConfig& slp_config, std::uint64_t seed) {
     bed.run_for(seconds(4));
   }
   row.later_setup_ms = bench::mean(later);
-  for (std::size_t i = 0; i < bed.size(); ++i) {
-    row.extension_bytes += bed.stack(i).routing().stats().extension_bytes_sent;
-  }
+  bed.finalize_metrics();
+  row.extension_bytes =
+      bed.ctx().metrics().counter_total("routing.piggyback_bytes_total");
   const auto& by_class = bed.medium().stats().by_class;
   if (const auto it = by_class.find(net::TrafficClass::kRouting);
       it != by_class.end()) {

@@ -88,14 +88,12 @@ ScaleRow run(std::size_t nodes, RoutingKind routing, std::uint64_t seed,
     row.control_frames_per_node_s = static_cast<double>(it->second.frames) /
                                     static_cast<double>(nodes) / window_s;
   }
-  std::uint64_t ext = 0;
-  for (std::size_t i = 0; i < nodes; ++i) {
-    ext += bed.stack(i).routing().stats().extension_bytes_sent;
-  }
+  row.events = static_cast<double>(bed.sim().events_executed());
+  bed.finalize_metrics();  // fold region-lane registries before reading
+  const std::uint64_t ext =
+      ctx.metrics().counter_total("routing.piggyback_bytes_total");
   row.piggyback_bytes_per_node =
       static_cast<double>(ext) / static_cast<double>(nodes);
-  row.events = static_cast<double>(bed.sim().events_executed());
-  bed.finalize_metrics();  // fold region-lane registries before export
   return row;
 }
 

@@ -81,10 +81,9 @@ Row run(Mechanism mechanism, std::size_t nodes, std::uint64_t seed,
                                     minutes(5));
   sim.run_for(seconds(2));
   medium.reset_stats();
-  std::uint64_t routing_ext_before = 0;
-  for (const auto& d : daemons) {
-    routing_ext_before += d->stats().extension_bytes_sent;
-  }
+  // ctx accumulates every run of the table: piggyback bytes are a delta.
+  const std::uint64_t routing_ext_before =
+      ctx.metrics().counter_total("routing.piggyback_bytes_total");
 
   Row row;
   for (int i = 0; i < 10; ++i) {
@@ -113,10 +112,9 @@ Row run(Mechanism mechanism, std::size_t nodes, std::uint64_t seed,
     row.discovery_packets += other_class->second.frames;
     row.discovery_bytes += other_class->second.bytes;
   }
-  for (const auto& d : daemons) {
-    row.piggyback_bytes += d->stats().extension_bytes_sent;
-  }
-  row.piggyback_bytes -= routing_ext_before;
+  row.piggyback_bytes =
+      ctx.metrics().counter_total("routing.piggyback_bytes_total") -
+      routing_ext_before;
   return row;
 }
 

@@ -18,6 +18,7 @@
 
 #include "common/context.hpp"
 #include "common/metrics.hpp"
+#include "scenario/parallel.hpp"
 
 namespace siphoc::bench {
 
@@ -61,8 +62,7 @@ inline bool write_metrics_sidecar(const std::string& name,
 inline bool write_merged_sidecar(
     const std::string& name,
     const std::vector<std::unique_ptr<SimContext>>& contexts) {
-  MetricsRegistry merged;
-  for (const auto& context : contexts) merged.merge_from(context->metrics());
+  const MetricsRegistry merged = scenario::merged_metrics(contexts);
   const bool json_ok = MetricsRegistry::write_file(
       name + ".metrics.json", merged.to_json(contexts.size()));
   const bool csv_ok =

@@ -69,6 +69,8 @@
 //   hangup USER                                   -- end USER's last call
 //   slp NODE                                      -- dump a node's SLP view
 //   trace on|off                                  -- live packet decoding
+// NODE is an index into the MANET; an index past its last node is reported
+// as a script error (non-zero exit).
 #include <algorithm>
 #include <atomic>
 #include <cstdarg>
@@ -192,6 +194,14 @@ struct Runner {
     ++errors;
   }
 
+  /// False, after reporting a script error, when `node` is not a node of
+  /// the current MANET.
+  bool valid_node(std::size_t node) {
+    if (bed && node < bed->size()) return true;
+    fail("bad node " + std::to_string(node));
+    return false;
+  }
+
   scenario::Options base_options() {
     scenario::Options o;
     o.context = ctx;
@@ -262,6 +272,7 @@ struct Runner {
       ensure_bed();
       std::size_t node = 0;
       is >> node;
+      if (!valid_node(node)) return;
       bed->make_gateway(node);
     } else if (cmd == "provider") {
       ensure_bed();
@@ -285,6 +296,7 @@ struct Runner {
       std::size_t node = 0;
       std::string user, domain;
       is >> node >> user >> domain;
+      if (!valid_node(node)) return;
       voip::SoftPhone* phone = nullptr;
       try {
         phone = &bed->add_phone(node, user, domain);
@@ -374,7 +386,7 @@ struct Runner {
     } else if (cmd == "slp") {
       std::size_t node = 0;
       is >> node;
-      if (!bed || node >= bed->size()) return fail("bad node");
+      if (!valid_node(node)) return;
       std::fprintf(out, "  MANET SLP on node %zu:\n", node);
       for (const auto& e : bed->stack(node).slp().snapshot()) {
         std::fprintf(out, "    %s\n", e.to_string().c_str());
@@ -552,6 +564,8 @@ int run_chaos(std::uint64_t seed, double duration_s, std::size_t p2p_nodes,
 
   int failures = static_cast<int>(monitor.report().violations.size()) +
                  p2p_failures;
+  // Fold the region-lane registries (p2p mode) before reading or exporting.
+  bed.finalize_metrics();
   const auto accepted =
       bed.ctx().metrics().counter_total("chaos.corrupt_accepted_total");
   if (accepted > 0) {
@@ -766,8 +780,7 @@ int main(int argc, char** argv) {
     errors += results[k].errors;
   }
 
-  MetricsRegistry merged;
-  for (const auto& context : contexts) merged.merge_from(context->metrics());
+  const MetricsRegistry merged = scenario::merged_metrics(contexts);
   if (!metrics_path.empty()) {
     if (MetricsRegistry::write_file(metrics_path,
                                     merged.to_json(contexts.size()))) {

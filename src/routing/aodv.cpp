@@ -97,9 +97,6 @@ std::size_t Aodv::buffered_count() const {
 // --------------------------------------------------------------------------
 
 void Aodv::count_tx(std::size_t wire_bytes, std::size_t ext_bytes) {
-  ++stats_.control_packets_sent;
-  stats_.control_bytes_sent += wire_bytes;
-  stats_.extension_bytes_sent += ext_bytes;
   metrics_.routing.control_packets.add();
   metrics_.routing.control_bytes.add(wire_bytes);
   metrics_.routing.piggyback_bytes.add(ext_bytes);
@@ -496,7 +493,6 @@ void Aodv::send_rerr(
   for (const auto& [dst, seqno] : unreachable) {
     rerr.destinations.push_back({dst, seqno});
   }
-  ++stats_.route_errors_sent;
   if (precursors.size() == 1) {
     send_packet(rerr, precursors.front(),
                 PacketInfo{PacketKind::kAodvRerr, self(), net::Address{}});

@@ -54,10 +54,7 @@ void Olsr::stop() {
   host_.unbind(net::kOlsrPort);
   host_.set_route_source(nullptr);
   routes_.clear();
-  // Forget the input snapshot: the empty routes_ now corresponds to empty
-  // inputs, so a restart must not early-out of its first recalculation.
-  route_sym_last_.clear();
-  route_edges_last_.clear();
+  routes_stale_ = false;
   routes_dirty_ = true;
 }
 
@@ -88,10 +85,11 @@ bool Olsr::has_route(net::Address dst) const {
 }
 
 std::optional<net::RouteEntry> Olsr::route_to(net::Address dst) const {
+  const auto& routes = this->routes();
   const auto it = std::lower_bound(
-      routes_.begin(), routes_.end(), dst,
+      routes.begin(), routes.end(), dst,
       [](const Route& r, net::Address a) { return r.dst < a; });
-  if (it == routes_.end() || it->dst != dst) return std::nullopt;
+  if (it == routes.end() || it->dst != dst) return std::nullopt;
   return net::RouteEntry{dst, 32, it->next_hop, net::Interface::kRadio,
                          it->metric};
 }
@@ -176,11 +174,8 @@ void Olsr::send_tc() {
 void Olsr::transmit() {
   const Message& message = tx_packet_.messages.front();
   tx_packet_.pkt_seq = ++pkt_seq_;
-  stats_.extension_bytes_sent += message.extension.size();
   metrics_.routing.piggyback_bytes.add(message.extension.size());
   Bytes wire = olsr::encode(tx_packet_);
-  ++stats_.control_packets_sent;
-  stats_.control_bytes_sent += wire.size();
   metrics_.routing.control_packets.add();
   metrics_.routing.control_bytes.add(wire.size());
   host_.send_broadcast(net::kOlsrPort, net::kOlsrPort, std::move(wire));
@@ -222,11 +217,17 @@ void Olsr::on_packet(const net::Datagram& d, const net::RxInfo&) {
     // never get here (skipped above), so only received keys are recorded.
     // process_tc() interns the originator first too, so ids are assigned
     // in the same order.
-    const std::uint32_t origin = intern(m.originator);
-    auto& seen = seen_seqs_[origin];
-    if (std::find(seen.begin(), seen.end(), m.msg_seq) != seen.end()) continue;
-    seen.push_back(m.msg_seq);
-    duplicate_fifo_.push_back({now() + seconds(30), origin, m.msg_seq});
+    auto& seen = seen_seqs_[intern(m.originator)];
+    seen.erase(seen.begin(),
+               std::find_if(seen.begin(), seen.end(), [&](const SeenSeq& s) {
+                 return s.expires_us > last_tick_us_;
+               }));
+    if (std::any_of(seen.begin(), seen.end(), [&](const SeenSeq& s) {
+          return s.msg_seq == m.msg_seq;
+        })) {
+      continue;
+    }
+    seen.push_back({micros(now() + seconds(30)), m.msg_seq});
 
     process_tc(m);
     if (handler_ != nullptr) {
@@ -432,81 +433,77 @@ void Olsr::calculate_routes() {
   if (!routes_dirty_ && t < routes_deadline_) return;
   routes_dirty_ = false;
 
-  // Snapshot the inputs: the symmetric neighbors (sorted, which is also
-  // the BFS seed order) and the live edges in scan order. An unchanged
-  // snapshot would make the BFS below reproduce routes_
-  // bit-for-bit, so it only moves the deadline.
+  // Snapshot the inputs: the symmetric neighbors in address order (the
+  // BFS seed order) and the live edges in scan order.
   TimePoint deadline = TimePoint::max();
-  route_sym_scratch_.clear();
+  route_seeds_.clear();
   for (const auto& [addr, link] : links_) {
     if (link.sym_until <= t) continue;
-    route_sym_scratch_.emplace_back(addr, link.id);
+    route_seeds_.push_back(link.id);
     deadline = std::min(deadline, link.sym_until);
   }
-  std::sort(route_sym_scratch_.begin(), route_sym_scratch_.end());
-  route_edges_scratch_.clear();
+  std::sort(route_seeds_.begin(), route_seeds_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return node_addrs_[a] < node_addrs_[b];
+            });
+  route_edges_.clear();
   for (const auto& e : topology_) {
     if (e.erased || e.expires <= t) continue;
-    route_edges_scratch_.push_back(e.last_hop);
-    route_edges_scratch_.push_back(e.dest);
+    route_edges_.push_back(e.last_hop);
+    route_edges_.push_back(e.dest);
     deadline = std::min(deadline, e.expires);
   }
   routes_deadline_ = deadline;
-  if (route_sym_scratch_ == route_sym_last_ &&
-      route_edges_scratch_ == route_edges_last_) {
-    return;
-  }
-  route_sym_last_.swap(route_sym_scratch_);
-  route_edges_last_.swap(route_edges_scratch_);
+  routes_stale_ = true;
+}
+
+const std::vector<Olsr::Route>& Olsr::routes() const {
+  if (!routes_stale_) return routes_;
+  routes_stale_ = false;
 
   // Adjacency from TC edges (last_hop -> dest) in both directions: links
   // are bidirectional once symmetric. CSR over node ids, filled in
   // topology_ scan order so equal-distance tie-breaks pick the same next
   // hop a linear scan would.
-  bfs_.queue.clear();
-  for (const auto& [addr, id] : route_sym_last_) bfs_.queue.push_back(id);
   const std::size_t nodes = node_addrs_.size();
-  const auto& edges = route_edges_last_;
-  bfs_.offsets.assign(nodes + 1, 0);
-  for (const std::uint32_t v : edges) ++bfs_.offsets[v + 1];
-  for (std::size_t v = 0; v < nodes; ++v) {
-    bfs_.offsets[v + 1] += bfs_.offsets[v];
-  }
-  bfs_.cursor.assign(bfs_.offsets.begin(), bfs_.offsets.end() - 1);
-  bfs_.targets.resize(edges.size());
+  const auto& edges = route_edges_;
+  std::vector<std::uint32_t> offsets(nodes + 1, 0);
+  for (const std::uint32_t v : edges) ++offsets[v + 1];
+  for (std::size_t v = 0; v < nodes; ++v) offsets[v + 1] += offsets[v];
+  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<std::uint32_t> targets(edges.size());
   for (std::size_t i = 0; i + 1 < edges.size(); i += 2) {
-    bfs_.targets[bfs_.cursor[edges[i]]++] = edges[i + 1];
-    bfs_.targets[bfs_.cursor[edges[i + 1]]++] = edges[i];
+    targets[cursor[edges[i]]++] = edges[i + 1];
+    targets[cursor[edges[i + 1]]++] = edges[i];
   }
 
-  // Hop-count BFS from the seeds already queued; distance 0 means
+  // Hop-count BFS from the symmetric neighbors; distance 0 means
   // unreached.
-  bfs_.distance.assign(nodes, 0);
-  bfs_.next_hop.resize(nodes);
-  for (const std::uint32_t n : bfs_.queue) {
-    bfs_.distance[n] = 1;
-    bfs_.next_hop[n] = n;
+  std::vector<int> distance(nodes, 0);
+  std::vector<std::uint32_t> next_hop(nodes);
+  std::vector<std::uint32_t> queue = route_seeds_;
+  for (const std::uint32_t n : queue) {
+    distance[n] = 1;
+    next_hop[n] = n;
   }
-  for (std::size_t head = 0; head < bfs_.queue.size(); ++head) {
-    const std::uint32_t u = bfs_.queue[head];
-    for (std::uint32_t k = bfs_.offsets[u]; k < bfs_.offsets[u + 1]; ++k) {
-      const std::uint32_t v = bfs_.targets[k];
-      if (v == self_id_ || bfs_.distance[v] != 0) continue;
-      bfs_.distance[v] = bfs_.distance[u] + 1;
-      bfs_.next_hop[v] = bfs_.next_hop[u];
-      bfs_.queue.push_back(v);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::uint32_t u = queue[head];
+    for (std::uint32_t k = offsets[u]; k < offsets[u + 1]; ++k) {
+      const std::uint32_t v = targets[k];
+      if (v == self_id_ || distance[v] != 0) continue;
+      distance[v] = distance[u] + 1;
+      next_hop[v] = next_hop[u];
+      queue.push_back(v);
     }
   }
 
   // Every reached node, in address order: sorted by dst for free.
-  auto& routes = bfs_.routes;
-  routes.clear();
+  routes_.clear();
   for (const auto& [addr, v] : ids_by_addr_) {
-    if (bfs_.distance[v] == 0) continue;
-    routes.push_back({addr, node_addrs_[bfs_.next_hop[v]], bfs_.distance[v]});
+    if (distance[v] == 0) continue;
+    routes_.push_back({addr, node_addrs_[next_hop[v]], distance[v]});
   }
-
-  routes_.swap(routes);
+  return routes_;
 }
 
 void Olsr::expire_state() {
@@ -542,12 +539,7 @@ void Olsr::expire_state() {
           static_cast<std::uint32_t>(i));
     }
   }
-  while (!duplicate_fifo_.empty() && duplicate_fifo_.front().expires <= t) {
-    const SeenTc& old = duplicate_fifo_.front();
-    auto& seen = seen_seqs_[old.originator];
-    seen.erase(std::find(seen.begin(), seen.end(), old.msg_seq));
-    duplicate_fifo_.pop_front();
-  }
+  last_tick_us_ = micros(t);
   if (changed) {
     routes_dirty_ = true;
     mark_mprs_dirty();

@@ -5,10 +5,11 @@
 // MPR selectors, MPR-based default forwarding with duplicate suppression,
 // a topology set with validity times, and hop-count shortest-path (BFS)
 // route computation; the host asks the daemon for its routes on every send
-// (net::Host::set_route_source). Route recalculation is
-// skipped while its inputs provably cannot have changed, and MPR selection
-// runs only when the set is used, evaluated at the time of its last input
-// change (docs/PERFORMANCE.md section 5).
+// (net::Host::set_route_source). A route recalculation is skipped while its
+// inputs provably cannot have changed and otherwise only snapshots them: the
+// BFS runs on the first read of the routes. MPR selection runs only when the
+// set is used, evaluated at the time of its last input change
+// (docs/PERFORMANCE.md section 5).
 //
 // SIPHoc integration: the RoutingHandler seam fires for every originated
 // HELLO and TC, and for every *first* reception of a message carrying an
@@ -16,7 +17,6 @@
 // the advertisement to every node -- the proactive piggyback channel).
 #pragma once
 
-#include <deque>
 #include <set>
 #include <unordered_map>
 
@@ -55,7 +55,7 @@ class Olsr final : public Protocol {
   void nudge_advertisement() override;
 
   const RoutingStats& stats() const override { return stats_; }
-  std::size_t route_count() const override { return routes_.size(); }
+  std::size_t route_count() const override { return routes().size(); }
   std::size_t route_record_bytes() const override { return sizeof(Route); }
 
   // Introspection for tests.
@@ -121,7 +121,12 @@ class Olsr final : public Protocol {
     mprs_time_ = now();
   }
   void schedule_route_calc();
+  /// Snapshots the route inputs (see route_seeds_) unless they provably
+  /// have not changed since the last snapshot.
   void calculate_routes();
+  /// The routes of the last snapshot, sorted by dst; runs the BFS over the
+  /// snapshot on the first read after calculate_routes() took it.
+  const std::vector<Route>& routes() const;
   /// The host's route to `dst` (see net::Host::set_route_source): the
   /// route of the last calculation.
   std::optional<net::RouteEntry> route_to(net::Address dst) const;
@@ -170,46 +175,41 @@ class Olsr final : public Protocol {
   std::vector<TopologyEdge> topology_;
   // originator id -> slots in topology_ of its edges that are not erased.
   std::vector<std::vector<std::uint32_t>> edges_by_originator_;
-  // Duplicate set (RFC 3626 3.4): the msg_seqs of received TCs, per
-  // interned originator, in arrival order. Every entry expires 30 s after
-  // it was inserted, so the FIFO of (expiry, originator id, msg_seq) is
-  // also in expiry order.
-  std::vector<std::vector<std::uint16_t>> seen_seqs_;
-  struct SeenTc {
-    TimePoint expires;
-    std::uint32_t originator;
-    std::uint16_t msg_seq;
+  // Duplicate set (RFC 3626 3.4): the msg_seqs of received TCs with their
+  // expiry, per interned originator, in arrival order, which is also
+  // expiry order (every key is held 30 s). A key leaves at the first
+  // housekeeping tick at or after its expiry: on_packet drops the front
+  // entries that expired by the last tick before it looks a key up. Times
+  // are virtual microseconds, whose 48 bits last 8.9 years, so an entry
+  // packs into 8 bytes.
+  struct SeenSeq {
+    std::uint64_t expires_us : 48;
+    std::uint64_t msg_seq : 16;
   };
-  std::deque<SeenTc> duplicate_fifo_;
+  static std::uint64_t micros(TimePoint t) {
+    return static_cast<std::uint64_t>(t.time_since_epoch().count());
+  }
+  std::vector<std::vector<SeenSeq>> seen_seqs_;
+  std::uint64_t last_tick_us_ = 0;  // the last expire_state() pass
 
-  // The routes of the last calculation, sorted by dst: what the host's
-  // lookups are answered from.
-  std::vector<Route> routes_;
-  // Input snapshot from the last route calculation (symmetric neighbors
-  // as (address, id), sorted; live topology edges as flat last_hop/dest id
-  // pairs in scan order) plus reusable scratch. A recalc whose snapshot
-  // matches the previous one returns without touching routes_.
-  std::vector<std::pair<net::Address, std::uint32_t>> route_sym_last_;
-  std::vector<std::pair<net::Address, std::uint32_t>> route_sym_scratch_;
-  std::vector<std::uint32_t> route_edges_last_;
-  std::vector<std::uint32_t> route_edges_scratch_;
+  // Input snapshot of the last route calculation: the symmetric neighbors'
+  // ids in address order (the BFS seeds) and the live topology edges as
+  // flat last_hop/dest id pairs in scan order. routes_ is the BFS over it,
+  // run by routes() on the first read after a new snapshot (routes_stale_).
+  // Ids are never reused and one interned after the snapshot is not in it,
+  // so the lazy BFS returns what an eager one at snapshot time would have.
+  std::vector<std::uint32_t> route_seeds_;
+  std::vector<std::uint32_t> route_edges_;
+  mutable std::vector<Route> routes_;
+  mutable bool routes_stale_ = false;
   // Set by every mutation that can change the snapshot (a link turning
   // symmetric, a new, revived or erased edge, a link or edge removal,
   // stop()). routes_deadline_ is the earliest sym_until / expires in the
   // last snapshot: the inputs also change with time, when a link lapses or
   // an edge expires without any message. Before it, a clean recalc cannot
-  // differ from the last one and returns without building the snapshot.
+  // differ from the last one and returns without taking a snapshot.
   bool routes_dirty_ = true;
   TimePoint routes_deadline_{};
-  // BFS scratch over node ids, reused across recalculations: CSR
-  // adjacency (offsets/cursor/targets), per-node hop state, FIFO queue,
-  // and the result in address order (swapped into routes_).
-  struct Bfs {
-    std::vector<std::uint32_t> offsets, cursor, targets;
-    std::vector<int> distance;
-    std::vector<std::uint32_t> next_hop, queue;
-    std::vector<Route> routes;
-  } bfs_;
   // Reused so the receive and send paths keep their vectors' capacity:
   // every packet is decoded into rx_packet_ (see olsr::decode_frame), and
   // every packet we send is built in the one message of tx_packet_. Both

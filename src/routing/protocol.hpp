@@ -72,14 +72,11 @@ class RoutingHandler {
                                      net::Address from) = 0;
 };
 
-/// Statistics every routing daemon exposes (overhead benches read these).
+/// Route discovery counts every routing daemon exposes. Control traffic is
+/// counted in the registry only (RoutingMetrics, aodv.rerr_tx_total).
 struct RoutingStats {
-  std::uint64_t control_packets_sent = 0;
-  std::uint64_t control_bytes_sent = 0;
-  std::uint64_t extension_bytes_sent = 0;
   std::uint64_t route_discoveries = 0;
   std::uint64_t discovery_failures = 0;
-  std::uint64_t route_errors_sent = 0;
 };
 
 /// Registry series shared by both daemons: the same three names with the

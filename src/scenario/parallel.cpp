@@ -29,11 +29,11 @@ std::vector<std::unique_ptr<SimContext>> run_cells(std::vector<Cell> cells,
   return contexts;
 }
 
-std::string merged_metrics_json(
+MetricsRegistry merged_metrics(
     const std::vector<std::unique_ptr<SimContext>>& contexts) {
   MetricsRegistry merged;
   for (const auto& context : contexts) merged.merge_from(context->metrics());
-  return merged.to_json(contexts.size());
+  return merged;
 }
 
 unsigned default_thread_count() {

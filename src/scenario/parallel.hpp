@@ -46,10 +46,10 @@ struct Cell {
 std::vector<std::unique_ptr<SimContext>> run_cells(std::vector<Cell> cells,
                                                    unsigned threads);
 
-/// Folds the cells' registries into one (submission order, see
-/// MetricsRegistry::merge_from) and returns its sidecar JSON with
-/// "merged_cells" provenance.
-std::string merged_metrics_json(
+/// Folds the cells' registries into one, in submission order (see
+/// MetricsRegistry::merge_from). Export it with to_json(contexts.size()) so
+/// the sidecar records its "merged_cells" provenance.
+MetricsRegistry merged_metrics(
     const std::vector<std::unique_ptr<SimContext>>& contexts);
 
 /// std::thread::hardware_concurrency with a floor of 1.

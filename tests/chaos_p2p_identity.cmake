@@ -1,6 +1,7 @@
 # Tool-level byte-identity check for the P2P chaos soak: run
 # `--chaos ... p2p=N` (region-sharded by construction) at --sim-threads 1
-# and 2 and demand identical narration and identical metrics sidecars.
+# and 2 and demand identical narration and identical metrics sidecars that
+# include the MANET nodes' series.
 # The soak itself must also pass (exit 0): zero invariant violations and
 # 100% lookup success after stabilization.
 #
@@ -23,6 +24,18 @@ foreach(threads 1 2)
     message(FATAL_ERROR
             "scenario_runner --chaos p2p=3 --sim-threads ${threads} exited "
             "${status}:\n${out}")
+  endif()
+endforeach()
+
+# The sidecar must cover the MANET nodes, whose series live in the region
+# lanes' registries until they are folded into the exported one.
+file(READ "${WORKDIR}/t1/m.json" sidecar)
+foreach(series routing.control_packets_total medium.frames_corrupted_total)
+  string(FIND "${sidecar}" "\"${series}\"" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR
+            "t1/m.json has no ${series} series: the region lanes' metrics "
+            "were not folded into the sidecar")
   endif()
 endforeach()
 

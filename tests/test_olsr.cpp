@@ -219,9 +219,12 @@ TEST_F(OlsrNet, TcExtensionFloodsNetworkWide) {
 TEST_F(OlsrNet, NudgeAdvertisementEmitsImmediately) {
   build(net::chain_positions(2, 100));
   sim_->run_for(seconds(5));
-  const auto before = daemons_[0]->stats().control_packets_sent;
+  const Counter* sent = sim_->ctx().metrics().find_counter(
+      "routing.control_packets_total", "n0", "olsr");
+  ASSERT_NE(sent, nullptr);
+  const auto before = sent->value();
   daemons_[0]->nudge_advertisement();
-  EXPECT_GT(daemons_[0]->stats().control_packets_sent, before);
+  EXPECT_GT(sent->value(), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -482,6 +485,51 @@ TEST_F(OlsrTcInput, DuplicateTcIsIgnoredForThirtySecondsThenProcessedAgain) {
   run_mpr(seconds(1));
   EXPECT_EQ(metric(kB), 3);
   EXPECT_EQ(forwarded, 2);
+}
+
+// A duplicate never extends the hold, unlike AODV's RREQ cache: a copy
+// re-heard 20 s after the first is forgotten with the first, at the first
+// housekeeping tick at or after 30 s.
+TEST_F(OlsrTcInput, DuplicateHeardAgainDoesNotExtendTheThirtySecondHold) {
+  const auto tc_500 = [&](std::uint16_t ansn, std::vector<Address> adv) {
+    olsr::Message m = tc_message(ansn, std::move(adv));
+    m.msg_seq = 500;
+    send_as_is(std::move(m));
+  };
+  run(seconds(1));
+  tc_500(10, {addr(1), kA});
+  run(seconds(1));
+  ASSERT_EQ(metric(kA), 3);
+  run(seconds(19));
+  tc_500(11, {addr(1), kB});  // 20 s after the first copy: a duplicate
+  run(seconds(1));
+  ASSERT_EQ(metric(kB), -1);
+  run(seconds(9) + milliseconds(600));  // 30.6 s after the first copy
+  tc_500(11, {addr(1), kB});
+  run(seconds(1));
+  EXPECT_EQ(metric(kB), 3);
+}
+
+// calculate_routes() only snapshots the inputs; the BFS runs on the first
+// read. Here three recalculations pass unread, and the read comes after a
+// TC changed the inputs but before its recalculation: it must answer from
+// the last snapshot, not from the inputs as they stand.
+TEST_F(OlsrTcInput, RouteReadAfterUnreadRecalculationsUsesTheLastSnapshot) {
+  run(seconds(1));
+  tc(10, {addr(1), kA});
+  run(seconds(1));
+  tc(11, {addr(1), kB});
+  run(seconds(1));
+  tc(12, {addr(1), kT});
+  run(seconds(1));
+  tc(13, {addr(1), kA});  // drops T, adds A back
+  sim_->run_for(Olsr::kRouteRecalcDelay / 2);
+  EXPECT_EQ(metric(kT), 3);
+  EXPECT_EQ(metric(kA), -1);
+  EXPECT_EQ(metric(kB), -1);
+  sim_->run_for(Olsr::kRouteRecalcDelay);
+  EXPECT_EQ(metric(kT), -1);
+  EXPECT_EQ(metric(kA), 3);
 }
 
 // In the MPR tests, n1 and n2 both reach the fictitious two-hop node T;

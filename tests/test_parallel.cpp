@@ -68,18 +68,17 @@ TEST(ParallelRunnerTest, ThreadCountDoesNotChangeAnyByte) {
   const auto pooled = run_cells(make_grid(42, 4), 4);
 
   EXPECT_EQ(per_cell_csv(serial), per_cell_csv(pooled));
-  EXPECT_EQ(merged_metrics_json(serial), merged_metrics_json(pooled));
+  EXPECT_EQ(merged_metrics(serial).to_json(4),
+            merged_metrics(pooled).to_json(4));
 }
 
 TEST(ParallelRunnerTest, MergedSidecarCarriesCellProvenance) {
   const auto contexts = run_cells(make_grid(1, 3), 2);
-  const std::string json = merged_metrics_json(contexts);
+  const MetricsRegistry merged = merged_metrics(contexts);
+  const std::string json = merged.to_json(contexts.size());
   EXPECT_NE(json.find("\"merged_cells\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"schema\": \"siphoc.metrics.v1\""),
             std::string::npos);
-
-  MetricsRegistry merged;
-  for (const auto& context : contexts) merged.merge_from(context->metrics());
   EXPECT_EQ(merged.counter_total("test.cells_total"), 3u);
 }
 
@@ -111,7 +110,8 @@ TEST(ParallelRunnerTest, ShardedCellsNestTheirPoolsDeterministically) {
   const auto serial = run_cells(grid(1), 1);
   const auto nested = run_cells(grid(2), 2);
 
-  EXPECT_EQ(merged_metrics_json(serial), merged_metrics_json(nested));
+  EXPECT_EQ(merged_metrics(serial).to_json(3),
+            merged_metrics(nested).to_json(3));
   EXPECT_GT(serial.front()->metrics().counter_total("aodv.hello_tx_total"),
             0u);
 }
